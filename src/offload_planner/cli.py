@@ -206,6 +206,9 @@ def stage_search(source: Path, outdir: Path, backend: str,
         _validate_costs(costs, loops)
     evaluator = make_evaluator(ast, loops, backend, costs, command, outdir, timeout)
     result = run_ga(loops, evaluator, ga, workers=workers)
+    m = result.best.measurement
+    if m is None or not m.valid:
+        raise ConfigError("search produced no valid measurement; cannot size resources")
     best = result.best.pattern
     outdir.mkdir(parents=True, exist_ok=True)
     save_pattern(outdir / "pattern.json", best, loops)
@@ -267,8 +270,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     result = stage_search(cfg.source, outdir, cfg.backend, cfg.costs,
                           cfg.command, cfg.ga, cfg.workers, cfg.timeout)
     m = result.best.measurement
-    if m is None or not m.valid:
-        raise ConfigError("search produced no valid measurement; cannot size resources")
     stage_plan(m.t_cpu_part, m.t_dev_part, cfg.prices, cfg.budget, outdir)
     return stage_verify(outdir / "plan.json", cfg.tests, cfg.registry,
                         cfg.components, outdir, cfg.tolerance, cfg.timeout)

@@ -146,30 +146,13 @@ class CostAnnotations:
         return 0.0
 
 
-def _exec_count(loops: LoopTable, loop_id: int) -> float:
+def _entries(loops: LoopTable, loop_id: int) -> float:
     """How many times the loop is entered: product of ancestor trip counts."""
-    count = 1
-    for anc in loops.ancestors(loop_id):
-        trip = loops.by_id[anc].trip_count
-        if trip is None:
-            raise CostModelError(
-                f"loop {anc} enclosing {loop_id} has no static trip count")
-        count *= trip
+    count = loops.exec_count(loop_id)
+    if count is None:
+        anc = next(a for a in loops.ancestors(loop_id) if loops.by_id[a].trip_count is None)
+        raise CostModelError(f"loop {anc} enclosing {loop_id} has no static trip count")
     return float(count)
-
-
-def _iters_within(loops: LoopTable, root: int, loop_id: int) -> float:
-    """Iterations of loop_id per single execution of the region root:
-    product of trip counts along the path root..loop_id inclusive."""
-    path = [loop_id] + [a for a in loops.ancestors(loop_id)
-                        if a == root or loops.is_ancestor(root, a)]
-    total = 1
-    for lid in path:
-        trip = loops.by_id[lid].trip_count
-        if trip is None:
-            raise CostModelError(f"loop {lid} in region {root} has no static trip count")
-        total *= trip
-    return float(total)
 
 
 def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
@@ -178,8 +161,10 @@ def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
 
     Host loops cost exec_count * trip * work * tau_host. A region costs
     exec_count(root) * (launch + sum over its loops of iters_within * work *
-    tau_host / speedup). Every transfer op costs (latency + bytes/bandwidth)
-    per anchor execution; transfer time is charged to the device part.
+    tau_host / speedup), where iters_within is the product of trip counts
+    from the root down to the loop. Every transfer op costs (latency +
+    bytes/bandwidth) per anchor execution; transfer time is charged to the
+    device part.
     """
     if pattern.as_string() in costs.fault_patterns:
         return Measurement.invalid("fault injected by configuration")
@@ -198,23 +183,43 @@ def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
         if info.trip_count is None:
             raise CostModelError(
                 f"host loop {info.loop_id} has work but no static trip count")
-        t_cpu += _exec_count(loops, info.loop_id) * info.trip_count * work * costs.tau_host
+        t_cpu += _entries(loops, info.loop_id) * info.trip_count * work * costs.tau_host
 
     t_dev = 0.0
     for root in roots:
         speedup = costs.speedup.get(root, DEFAULT_SPEEDUP)
         kernel = costs.launch_overhead
+        iters_within = {}  # loop id -> iterations per region execution, None if unknown
         for lid in loops.subtree_ids(root):
-            work = costs.work_for(loops.by_id[lid])
+            info = loops.by_id[lid]
+            outer = 1 if lid == root else iters_within[info.parent_loop]
+            iters_within[lid] = (None if outer is None or info.trip_count is None
+                                 else outer * info.trip_count)
+            work = costs.work_for(info)
             if work == 0.0:
                 continue
-            kernel += _iters_within(loops, root, lid) * work * costs.tau_host / speedup
-        t_dev += _exec_count(loops, root) * kernel
+            if iters_within[lid] is None:
+                unknown = next(a for a in [lid] + loops.ancestors(lid)
+                               if loops.by_id[a].trip_count is None)
+                raise CostModelError(
+                    f"loop {unknown} in region {root} has no static trip count")
+            kernel += float(iters_within[lid]) * work * costs.tau_host / speedup
+        t_dev += _entries(loops, root) * kernel
     for op in plan.ops:
-        executions = _exec_count(loops, op.anchor_loop)
-        t_dev += executions * (costs.latency + op.bytes / costs.bandwidth)
+        t_dev += _entries(loops, op.anchor_loop) * (costs.latency + op.bytes / costs.bandwidth)
 
     return Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
+
+
+def run_command(argv: list, timeout: float) -> tuple[int | None, str, str | None]:
+    """Run argv (no shell) with its output captured as text: (exit code,
+    stdout, None), or (None, "", note) when it outlives ``timeout``
+    seconds. OSError propagates when the program cannot start."""
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None, "", f"timeout after {timeout}s"
+    return proc.returncode, proc.stdout, None
 
 
 def evaluate_external(cmd_template: str, source_path, pattern_path,
@@ -228,14 +233,14 @@ def evaluate_external(cmd_template: str, source_path, pattern_path,
     if not argv:
         raise SpawnError("empty measurement command")
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return Measurement.invalid(f"timeout after {timeout}s")
+        code, stdout, note = run_command(argv, timeout)
     except OSError as exc:
         raise SpawnError(f"cannot start {argv[0]!r}: {exc}") from exc
-    if proc.returncode != 0:
-        return Measurement.invalid(f"exit status {proc.returncode}")
-    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    if note is not None:
+        return Measurement.invalid(note)
+    if code != 0:
+        return Measurement.invalid(f"exit status {code}")
+    lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         return Measurement.invalid("no output")
     fields = lines[-1].split()

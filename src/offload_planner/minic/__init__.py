@@ -14,18 +14,20 @@ from .astnodes import (
     Program,
     Var,
     VarDecl,
+    accesses,
+    children,
     loops_in,
     to_source,
     walk,
 )
 from .interp import EvalError, ITERATION_CAP, eval_expr, interpret
-from .loops import LoopInfo, LoopTable, def_use, extract_loops, header_written
+from .loops import LoopInfo, LoopTable, def_use, extract_loops
 from .parser import ParseError, UndeclaredIdentifier, parse_program
 
 __all__ = [
     "Assign", "BinOp", "Block", "Call", "CallStmt", "ELEM_WIDTH", "EvalError",
     "ForLoop", "ITERATION_CAP", "Index", "INTRINSICS", "LoopInfo", "LoopTable",
     "Num", "ParseError", "Program", "UndeclaredIdentifier", "Var", "VarDecl",
-    "def_use", "eval_expr", "extract_loops", "header_written", "interpret",
-    "loops_in", "parse_program", "to_source", "walk",
+    "accesses", "children", "def_use", "eval_expr", "extract_loops",
+    "interpret", "loops_in", "parse_program", "to_source", "walk",
 ]

@@ -132,17 +132,53 @@ class Program(Node):
     source: str = _meta("")  # original text, preserved for directive insertion
 
 
+# node class -> names of its structural (compared) fields, in source order
+_STRUCTURE = {cls: tuple(f.name for f in fields(cls) if f.compare)
+              for cls in Node.__subclasses__()}
+
+
+def children(node: Node) -> tuple:
+    """Direct child nodes, in source order."""
+    out = []
+    for name in _STRUCTURE[type(node)]:
+        v = getattr(node, name)
+        if isinstance(v, Node):
+            out.append(v)
+        elif isinstance(v, tuple):
+            out.extend(item for item in v if isinstance(item, Node))
+    return tuple(out)
+
+
 def walk(node: Node):
     """Yield node and all descendants in pre-order (source order)."""
     yield node
-    for f in fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, Node):
-            yield from walk(v)
-        elif isinstance(v, tuple):
-            for item in v:
-                if isinstance(item, Node):
-                    yield from walk(item)
+    for child in children(node):
+        yield from walk(child)
+
+
+def accesses(node: Node, skip: Node | None = None) -> tuple[set, set, set]:
+    """(reads, assigned, control) over node and its descendants: the names
+    read, the names assignments store to, and the index names loop headers
+    write. A header reads its condition and step variables. Declarations
+    are left out, and so is the subtree ``skip`` (matched by identity).
+    """
+    reads: set = set()
+    assigned: set = set()
+    control: set = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip or isinstance(n, VarDecl):
+            continue
+        if isinstance(n, (Var, Index)):
+            reads.add(n.name)
+        elif isinstance(n, Assign):
+            assigned.add(n.name)
+        elif isinstance(n, ForLoop):
+            reads.update((n.cond_var, n.step_var))
+            control.update((n.var, n.step_var))
+        stack.extend(children(n))
+    return reads, assigned, control
 
 
 def loops_in(node: Node) -> list:

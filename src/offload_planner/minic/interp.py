@@ -93,10 +93,11 @@ def eval_expr(expr, env) -> float:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def check_index(node: Index, env) -> int:
-    """Indices truncate toward zero and must land inside the array."""
-    raw = eval_expr(node.index, env)
-    idx = int(raw)
+def check_index(node: Index | Assign, env) -> int:
+    """Element index of a read (an Index) or an element write (an Assign),
+    whose position prefixes the error. Indices truncate toward zero and
+    must land inside the array."""
+    idx = int(eval_expr(node.index, env))
     if not 0 <= idx < env.array_len(node.name):
         raise EvalError(
             f"{node.line}:{node.col}: index {idx} out of bounds for "
@@ -127,7 +128,7 @@ class Executor:
             if stmt.index is None:
                 self.env.write(stmt.name, value)
             else:
-                self.env.write_elem(stmt.name, check_index_for(stmt, self.env), value)
+                self.env.write_elem(stmt.name, check_index(stmt, self.env), value)
         elif isinstance(stmt, Block):
             for inner in stmt.body:
                 self.exec_stmt(inner)
@@ -166,15 +167,6 @@ class Executor:
 
     def exit_loop(self, loop: ForLoop):
         pass
-
-
-def check_index_for(stmt: Assign, env) -> int:
-    idx = int(eval_expr(stmt.index, env))
-    if not 0 <= idx < env.array_len(stmt.name):
-        raise EvalError(
-            f"{stmt.line}:{stmt.col}: index {idx} out of bounds for "
-            f"'{stmt.name}[{env.array_len(stmt.name)}]'")
-    return idx
 
 
 def interpret(ast: Program, iteration_cap: int = ITERATION_CAP) -> dict:

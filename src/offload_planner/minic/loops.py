@@ -18,17 +18,17 @@ import math
 from dataclasses import dataclass
 
 from .astnodes import (
-    Assign,
     BinOp,
     Block,
     Call,
     CallStmt,
     ForLoop,
-    Index,
     Num,
     Program,
     Var,
     VarDecl,
+    accesses,
+    children,
     walk,
 )
 
@@ -46,12 +46,30 @@ class LoopInfo:
 
 
 class LoopTable:
-    """All for-loops of a program in source order, with ancestry helpers."""
+    """All for-loops of a program in source order, with indexes of the loop
+    tree: each loop's ancestors, subtree, entry count and containers."""
 
-    def __init__(self, infos: list[LoopInfo], nodes: dict[int, ForLoop]):
+    def __init__(self, infos: list[LoopInfo], nodes: dict[int, ForLoop],
+                 chains: dict[int, tuple]):
         self.infos = tuple(infos)
         self.nodes = nodes
         self.by_id = {info.loop_id: info for info in infos}
+        self._chains = chains
+        self._ancestors: dict[int, tuple] = {}
+        self._subtree: dict[int, list] = {}
+        self._exec_counts: dict[int, int | None] = {}
+        for info in self.infos:  # parents precede their children
+            lid, parent = info.loop_id, info.parent_loop
+            if parent is None:
+                self._ancestors[lid] = ()
+                self._exec_counts[lid] = 1
+            else:
+                self._ancestors[lid] = (parent,) + self._ancestors[parent]
+                outer, trip = self._exec_counts[parent], self.by_id[parent].trip_count
+                self._exec_counts[lid] = None if outer is None or trip is None else outer * trip
+            self._subtree[lid] = []
+            for owner in (lid,) + self._ancestors[lid]:
+                self._subtree[owner].append(lid)
 
     def __iter__(self):
         return iter(self.infos)
@@ -70,19 +88,23 @@ class LoopTable:
 
     def ancestors(self, loop_id: int) -> list[int]:
         """Proper ancestors, innermost first."""
-        out = []
-        cur = self.by_id[loop_id].parent_loop
-        while cur is not None:
-            out.append(cur)
-            cur = self.by_id[cur].parent_loop
-        return out
+        return list(self._ancestors[loop_id])
 
     def is_ancestor(self, a: int, b: int) -> bool:
-        return a in self.ancestors(b)
+        return a in self._ancestors[b]
 
     def subtree_ids(self, root_id: int) -> list[int]:
-        return [info.loop_id for info in self.infos
-                if info.loop_id == root_id or self.is_ancestor(root_id, info.loop_id)]
+        return list(self._subtree[root_id])
+
+    def exec_count(self, loop_id: int) -> int | None:
+        """How many times the loop is entered: the product of its ancestors'
+        trip counts, None when one of them is unknown."""
+        return self._exec_counts[loop_id]
+
+    def chain(self, loop_id: int) -> tuple:
+        """Containers (Program, Blocks, enclosing loops) from the program
+        root down to the loop, the loop excluded."""
+        return self._chains[loop_id]
 
     def to_json(self) -> list[dict]:
         return [
@@ -107,31 +129,22 @@ def extract_loops(ast: Program) -> LoopTable:
     consts = _single_assignment_constants(ast)
     infos = []
     nodes = {}
+    chains = {}
 
-    def visit(node, parent_id, depth):
-        for loop in _direct_loops(node):
-            nodes[loop.node_id] = loop
-            infos.append(_analyze(loop, parent_id, depth, consts))
-            visit(loop.body, loop.node_id, depth + 1)
+    def visit(container, chain, parent_id, depth):
+        chain = chain + (container,)
+        for child in children(container):
+            if isinstance(child, ForLoop):
+                nodes[child.node_id] = child
+                chains[child.node_id] = chain
+                infos.append(_analyze(child, parent_id, depth, consts))
+                visit(child, chain, child.node_id, depth + 1)
+            elif isinstance(child, Block):
+                visit(child, chain, parent_id, depth)
 
-    visit(ast, None, 0)
+    visit(ast, (), None, 0)
     infos.sort(key=lambda info: info.loop_id)  # node ids are in source order
-    return LoopTable(infos, nodes)
-
-
-def _direct_loops(node):
-    """For-loops directly under node, not nested inside another loop."""
-    if isinstance(node, ForLoop):
-        yield node
-        return
-    if isinstance(node, Program):
-        children = node.items
-    elif isinstance(node, Block):
-        children = node.body
-    else:
-        return
-    for child in children:
-        yield from _direct_loops(child)
+    return LoopTable(infos, nodes, chains)
 
 
 def _analyze(loop: ForLoop, parent_id, depth, consts) -> LoopInfo:
@@ -162,49 +175,9 @@ def _analyze(loop: ForLoop, parent_id, depth, consts) -> LoopInfo:
 
 
 def def_use(node) -> tuple[set, set]:
-    """Exact def/use sets over a statement subtree."""
-    defs: set = set()
-    uses: set = set()
-    _collect(node, defs, uses)
-    return defs, uses
-
-
-def _collect(node, defs, uses):
-    if isinstance(node, Assign):
-        defs.add(node.name)
-        if node.index is not None:
-            _expr_uses(node.index, uses)
-        _expr_uses(node.value, uses)
-    elif isinstance(node, ForLoop):
-        _expr_uses(node.init, uses)
-        uses.add(node.cond_var)
-        _expr_uses(node.bound, uses)
-        uses.add(node.step_var)
-        _collect(node.body, defs, uses)
-    elif isinstance(node, Block):
-        for stmt in node.body:
-            _collect(stmt, defs, uses)
-    elif isinstance(node, CallStmt):
-        for arg in node.args:
-            _expr_uses(arg, uses)
-    elif isinstance(node, (Program,)):
-        for item in node.items:
-            if not isinstance(item, VarDecl):
-                _collect(item, defs, uses)
-
-
-def _expr_uses(expr, uses):
-    if isinstance(expr, Var):
-        uses.add(expr.name)
-    elif isinstance(expr, Index):
-        uses.add(expr.name)
-        _expr_uses(expr.index, uses)
-    elif isinstance(expr, BinOp):
-        _expr_uses(expr.left, uses)
-        _expr_uses(expr.right, uses)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            _expr_uses(arg, uses)
+    """Exact def/use sets over a statement subtree: (assigned, reads)."""
+    reads, assigned, _ = accesses(node)
+    return assigned, reads
 
 
 def _first_unknown_call(loop: ForLoop) -> str | None:
@@ -215,38 +188,19 @@ def _first_unknown_call(loop: ForLoop) -> str | None:
 
 
 def _index_written(loop: ForLoop) -> bool:
-    for node in walk(loop.body):
-        if isinstance(node, Assign) and node.name == loop.var:
-            return True
-        # a nested header re-driving the same variable also rewrites it
-        if isinstance(node, ForLoop) and loop.var in (node.var, node.step_var):
-            return True
-    return False
-
-
-def header_written(loop: ForLoop) -> set:
-    """Variables written by loop headers in the subtree (loop control writes)."""
-    out = set()
-    for node in walk(loop):
-        if isinstance(node, ForLoop):
-            out.add(node.var)
-            out.add(node.step_var)
-    return out
+    # a nested header re-driving the same variable also rewrites it
+    _, assigned, control = accesses(loop.body)
+    return loop.var in assigned or loop.var in control
 
 
 def _single_assignment_constants(ast: Program) -> dict[str, float]:
     """name -> value for variables never assigned anywhere, folded from their
     declaration initializer (default 0 for scalars without one)."""
-    assigned = set()
-    for node in walk(ast):
-        if isinstance(node, Assign):
-            assigned.add(node.name)
-        elif isinstance(node, ForLoop):
-            assigned.add(node.var)
-            assigned.add(node.step_var)
+    _, assigned, control = accesses(ast)
     consts: dict[str, float] = {}
     for item in ast.items:
-        if isinstance(item, VarDecl) and not item.is_array and item.name not in assigned:
+        if (isinstance(item, VarDecl) and not item.is_array
+                and item.name not in assigned and item.name not in control):
             value = 0.0 if item.init is None else _fold(item.init, consts)
             if value is not None:
                 consts[item.name] = value

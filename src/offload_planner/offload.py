@@ -6,7 +6,10 @@ offloads that loop; the loop plus its subtree is an offload region executed
 as one device kernel. Patterns where an offloaded loop has an offloaded
 ancestor are invalid.
 
-Transfer planning, per region:
+Transfer planning, per region. A region's ops depend only on the program
+and the region root (and whether hoisting is on), never on which other
+regions the pattern offloads, so each region is planned once per loop
+table and a pattern's plan is its regions' ops in loop-table order:
   * host-to-device (copyin) for every variable whose value flows into the
     region from outside: read in the region before the region writes it;
   * device-to-host (copyout) for every variable the region writes that CPU
@@ -23,20 +26,12 @@ transferred variable every iteration would ship a stale value.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
-from .minic.astnodes import (
-    Assign,
-    Block,
-    CallStmt,
-    ForLoop,
-    Index,
-    Program,
-    Var,
-    VarDecl,
-)
+from .minic.astnodes import Block, ForLoop, Program, VarDecl, accesses, children
 from .minic.interp import Env, EvalError, Executor
-from .minic.loops import LoopTable, extract_loops
+from .minic.loops import LoopTable
 
 HOST_TO_DEVICE = "host_to_device"
 DEVICE_TO_HOST = "device_to_host"
@@ -118,29 +113,73 @@ class TransferPlan:
         return [op for op in self.ops if op.var == var]
 
 
+# loop table -> {(root, hoist): region ops}. Two threads may fill an entry
+# at once; both compute equal ops, so either write may win.
+_REGION_OPS = weakref.WeakKeyDictionary()
+
+
 def plan_transfers(ast: Program, loops: LoopTable, pattern: OffloadPattern,
                    hoist: bool = True) -> TransferPlan:
+    """The ops of every offloaded region, region by region in loop-table
+    order. ``loops`` is the loop table of ``ast``."""
     reason = validate_pattern(pattern, loops)
     if reason is not None:
         raise InvalidPattern(reason)
-    decls = {item.name: item for item in ast.items if isinstance(item, VarDecl)}
+    memo = _REGION_OPS.setdefault(loops, {})
     ops = []
     for root in offloaded_ids(pattern, loops):
-        node = loops.nodes[root]
-        copyin = sorted(_upward_exposed(node, loops))
-        later = _cpu_later_accesses(ast, loops, root)
-        copyout = sorted(loops.by_id[root].defs & later)
-        for var in copyin:
-            anchor, hoisted = _hoist_anchor(loops, root, var, writes_block=True,
-                                            reads_block=False, hoist=hoist)
-            ops.append(TransferOp(var, HOST_TO_DEVICE, anchor, "before",
-                                  hoisted, decls[var].byte_size, root))
-        for var in copyout:
-            anchor, hoisted = _hoist_anchor(loops, root, var, writes_block=True,
-                                            reads_block=True, hoist=hoist)
-            ops.append(TransferOp(var, DEVICE_TO_HOST, anchor, "after",
-                                  hoisted, decls[var].byte_size, root))
+        region_ops = memo.get((root, hoist))
+        if region_ops is None:
+            region_ops = memo[root, hoist] = _region_ops(ast, loops, root, hoist)
+        ops.extend(region_ops)
     return TransferPlan(tuple(ops))
+
+
+def _region_ops(ast: Program, loops: LoopTable, root: int, hoist: bool) -> tuple:
+    """Copyin ops, then copyout ops, each sorted by variable, of the region
+    rooted at ``root``."""
+    decls = {item.name: item for item in ast.items if isinstance(item, VarDecl)}
+    # Walk the containers outward from the region. Each enclosing loop
+    # contributes its accesses outside the loop below it on the chain: they
+    # block hoisting past it, and CPU code makes them in later iterations.
+    # Each Program or Block contributes the statements after the chain.
+    enclosing = []      # (loop id, reads, writes), innermost first
+    later: set = set()  # names CPU code can touch after a region execution
+    inner = below = loops.nodes[root]
+    for container in reversed(loops.chain(root)):
+        if isinstance(container, ForLoop):
+            reads, assigned, control = accesses(container, skip=inner)
+            enclosing.append((container.node_id, reads, assigned | control))
+            later |= reads | assigned | control
+            inner = container
+        else:
+            items = children(container)
+            at = next(k for k, item in enumerate(items) if item is below)
+            for item in items[at + 1:]:
+                later.update(*accesses(item))
+        below = container
+
+    def anchor(var: str, reads_block: bool) -> int:
+        """Hoist outward one enclosing loop at a time until a blocking CPU
+        access of var appears inside that loop outside the region."""
+        at = root
+        if hoist:
+            for loop_id, reads, writes in enclosing:
+                if var in writes or (reads_block and var in reads):
+                    break
+                at = loop_id
+        return at
+
+    ops = []
+    for var in sorted(_upward_exposed(loops.nodes[root], loops)):
+        at = anchor(var, reads_block=False)
+        ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
+                              decls[var].byte_size, root))
+    for var in sorted(loops.by_id[root].defs & later):
+        at = anchor(var, reads_block=True)
+        ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
+                              decls[var].byte_size, root))
+    return tuple(ops)
 
 
 def _upward_exposed(region: ForLoop, loops: LoopTable) -> set:
@@ -153,177 +192,28 @@ def _upward_exposed(region: ForLoop, loops: LoopTable) -> set:
     """
     exposed: set = set()
 
-    def read(name, written):
-        if name not in written:
-            exposed.add(name)
-
-    def walk_expr(expr, written):
-        if isinstance(expr, Var):
-            read(expr.name, written)
-        elif isinstance(expr, Index):
-            read(expr.name, written)
-            walk_expr(expr.index, written)
-        elif hasattr(expr, "left"):
-            walk_expr(expr.left, written)
-            walk_expr(expr.right, written)
-        elif hasattr(expr, "args"):
-            for arg in expr.args:
-                walk_expr(arg, written)
-
     def walk_stmt(stmt, written):
-        if isinstance(stmt, Assign):
-            if stmt.index is not None:
-                walk_expr(stmt.index, written)
-            walk_expr(stmt.value, written)
-            written.add(stmt.name)
-        elif isinstance(stmt, Block):
+        if isinstance(stmt, Block):
             for inner in stmt.body:
                 walk_stmt(inner, written)
         elif isinstance(stmt, ForLoop):
-            walk_expr(stmt.init, written)
+            exposed.update(accesses(stmt.init)[0] - written)
             written.add(stmt.var)
-            read(stmt.cond_var, written)
-            walk_expr(stmt.bound, written)
-            read(stmt.step_var, written)
+            reads = accesses(stmt.bound)[0] | {stmt.cond_var, stmt.step_var}
+            exposed.update(reads - written)
             written.add(stmt.step_var)
             info = loops.by_id.get(stmt.node_id)
             body_written = set(written)
             walk_stmt(stmt.body, body_written)
             if info is not None and info.trip_count is not None and info.trip_count >= 1:
                 written |= body_written
-        elif isinstance(stmt, CallStmt):
-            for arg in stmt.args:
-                walk_expr(arg, written)
+        else:  # an assignment reads its operands before it stores
+            reads, assigned, _ = accesses(stmt)
+            exposed.update(reads - written)
+            written |= assigned
 
     walk_stmt(region, set())
     return exposed
-
-
-def _access_sets(node, skip_id: int | None) -> tuple[set, set]:
-    """(reads, writes) over a subtree, counting loop-header control accesses,
-    skipping the subtree rooted at skip_id."""
-    reads: set = set()
-    writes: set = set()
-
-    def walk_stmt(stmt):
-        if getattr(stmt, "node_id", None) == skip_id:
-            return
-        if isinstance(stmt, Assign):
-            writes.add(stmt.name)
-            if stmt.index is not None:
-                _expr_reads(stmt.index, reads)
-            _expr_reads(stmt.value, reads)
-        elif isinstance(stmt, Block):
-            for inner in stmt.body:
-                walk_stmt(inner)
-        elif isinstance(stmt, ForLoop):
-            writes.add(stmt.var)
-            writes.add(stmt.step_var)
-            _expr_reads(stmt.init, reads)
-            reads.add(stmt.cond_var)
-            _expr_reads(stmt.bound, reads)
-            reads.add(stmt.step_var)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, CallStmt):
-            for arg in stmt.args:
-                _expr_reads(arg, reads)
-
-    walk_stmt(node)
-    return reads, writes
-
-
-def _expr_reads(expr, reads):
-    if isinstance(expr, Var):
-        reads.add(expr.name)
-    elif isinstance(expr, Index):
-        reads.add(expr.name)
-        _expr_reads(expr.index, reads)
-    elif hasattr(expr, "left"):
-        _expr_reads(expr.left, reads)
-        _expr_reads(expr.right, reads)
-    elif hasattr(expr, "args"):
-        for arg in expr.args:
-            _expr_reads(arg, reads)
-
-
-def _hoist_anchor(loops: LoopTable, root: int, var: str,
-                  writes_block: bool, reads_block: bool,
-                  hoist: bool) -> tuple[int, bool]:
-    """Hoist outward one enclosing loop at a time until a blocking CPU-side
-    access of var appears inside that loop outside the region."""
-    anchor = root
-    if not hoist:
-        return anchor, False
-    inner = root
-    for enclosing in loops.ancestors(root):
-        reads, writes = _access_sets(loops.nodes[enclosing], skip_id=inner)
-        if writes_block and var in writes:
-            break
-        if reads_block and var in reads:
-            break
-        anchor = enclosing
-        inner = enclosing
-    return anchor, anchor != root
-
-
-def _cpu_later_accesses(ast: Program, loops: LoopTable, root: int) -> set:
-    """Variables CPU code can touch after some execution of the region: any
-    access inside an enclosing loop outside the region (later iterations),
-    plus accesses in statements after the region at each nesting level."""
-    later: set = set()
-    path = _path_to(ast, root)
-    skip = root
-    for container in reversed(path):
-        if isinstance(container, ForLoop) and container.node_id != root:
-            reads, writes = _access_sets(container, skip_id=skip)
-            later |= reads | writes
-            skip = container.node_id
-        elif isinstance(container, (Program, Block)):
-            children = container.items if isinstance(container, Program) else container.body
-            seen = False
-            for child in children:
-                if seen and not isinstance(child, VarDecl):
-                    reads, writes = _access_sets(child, skip_id=None)
-                    later |= reads | writes
-                if _contains(child, skip):
-                    seen = True
-    return later
-
-
-def _path_to(ast: Program, target_id: int) -> list:
-    """Containers from the program root down to (excluding) the target loop."""
-
-    def search(node, path):
-        if getattr(node, "node_id", None) == target_id:
-            return list(path)
-        children = ()
-        if isinstance(node, Program):
-            children = node.items
-        elif isinstance(node, Block):
-            children = node.body
-        elif isinstance(node, ForLoop):
-            children = (node.body,)
-        for child in children:
-            found = search(child, path + [node])
-            if found is not None:
-                return found
-        return None
-
-    result = search(ast, [])
-    if result is None:
-        raise KeyError(f"loop {target_id} not found")
-    return result
-
-
-def _contains(node, target_id: int) -> bool:
-    if getattr(node, "node_id", None) == target_id:
-        return True
-    children = ()
-    if isinstance(node, Block):
-        children = node.body
-    elif isinstance(node, ForLoop):
-        children = (node.body,)
-    return any(_contains(child, target_id) for child in children)
 
 
 # -- directive emission --------------------------------------------------
@@ -332,12 +222,10 @@ PRAGMA_PREFIX = "#pragma"
 
 
 def emit_annotated(ast: Program, pattern: OffloadPattern, plan: TransferPlan,
-                   loops: LoopTable | None = None) -> str:
+                   loops: LoopTable) -> str:
     """Insert copyin/kernels/copyout directive lines into the original
     source. Stripping lines that begin with #pragma recovers the input
     byte-for-byte."""
-    if loops is None:
-        loops = extract_loops(ast)
     roots = set(offloaded_ids(pattern, loops))
     before: dict[int, list[str]] = {}
     after: dict[int, list[str]] = {}
@@ -420,7 +308,11 @@ class _DualEnv(Env):
 
     def read_elem(self, name, idx):
         if self.context == "host":
-            return self.values[name][idx]
+            value = self.values[name][idx]
+            if value is _POISON:
+                raise TwoSpaceError(
+                    f"host read of '{name}[{idx}]', which was never transferred")
+            return value
         cell = self._device_cell(name)
         if cell is _POISON or cell[idx] is _POISON:
             raise TwoSpaceError(

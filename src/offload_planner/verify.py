@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import shlex
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .evaluation import (
     ShapeMismatch,
     ToleranceSpec,
     compare_results,
+    run_command,
 )
 from .minic.interp import EvalError, interpret
 from .minic.loops import extract_loops
@@ -208,18 +208,16 @@ def _scaled_time(measurement: Measurement, allocation: Allocation) -> float | No
     return cpu_term + dev_term
 
 
-def _run_command(command: str, timeout: float) -> tuple[int | None, str | None]:
-    """(exit_code, note); exit_code None when the command could not run."""
+def _regression_row(name: str, command: str, timeout: float) -> RegressionRow:
+    """Run a regression command; one that cannot run fails with a note."""
+    argv = shlex.split(command)
+    if not argv:
+        return RegressionRow(name, passed=False, exit_code=None, note="empty command")
     try:
-        argv = shlex.split(command)
-        if not argv:
-            return None, "empty command"
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-        return proc.returncode, None
-    except subprocess.TimeoutExpired:
-        return None, f"timeout after {timeout}s"
+        code, _, note = run_command(argv, timeout)
     except OSError as exc:
-        return None, str(exc)
+        return RegressionRow(name, passed=False, exit_code=None, note=str(exc))
+    return RegressionRow(name, passed=code == 0, exit_code=code, note=note)
 
 
 def _sim_diff(case: TestCase, tol: ToleranceSpec) -> PerformanceRow:
@@ -275,18 +273,15 @@ def run_verification(allocation: Allocation, measurement: Measurement,
                     case.name, scaled, throughput, row.diff_passed,
                     row.worst_variable, row.worst_deviation, row.note))
         else:
-            code, note = _run_command(case.command, timeout)
-            report.regression.append(
-                RegressionRow(case.name, passed=code == 0, exit_code=code, note=note))
+            report.regression.append(_regression_row(case.name, case.command, timeout))
 
     for component in declared_components:
         if component not in registry:
             report.uncovered_components.append(component)
             continue
         for idx, command in enumerate(registry[component]):
-            code, note = _run_command(command, timeout)
-            report.regression.append(RegressionRow(
-                f"{component}[{idx}]", passed=code == 0, exit_code=code, note=note))
+            report.regression.append(
+                _regression_row(f"{component}[{idx}]", command, timeout))
 
     diffs_ok = all(row.diff_passed for row in report.performance)
     regressions_ok = all(row.passed for row in report.regression)

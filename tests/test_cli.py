@@ -224,3 +224,38 @@ def test_console_script_on_path():
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli("run-all", "--config", tmp_path / "nope.json") == 2
     capsys.readouterr()
+
+
+NESTED = """float a[8];
+int i = 0;
+int j = 0;
+for (j = 0; j < 4; j++) {
+    for (i = 0; i < 8; i++) {
+        a[i] = a[i] + 1;
+    }
+}
+"""
+
+
+def test_no_valid_measurement_exits_2_before_planning(workdir, capsys):
+    # every non-nested pattern is faulted, so the GA's best is invalid and
+    # may be the nested pattern 11, which cannot be planned
+    (workdir / "nested.mc").write_text(NESTED)
+    (workdir / "nested_costs.json").write_text(json.dumps(
+        {"default_work": 1000, "fault_patterns": ["00", "01", "10"]}))
+    ga = {"seed": 0, "population_size": 4, "generations": 2}
+    config = json.loads((workdir / "g3_config.json").read_text())
+    config.update(source="nested.mc", costs="nested_costs.json", ga=ga)
+    (workdir / "nested_config.json").write_text(json.dumps(config))
+    message = "search produced no valid measurement"
+
+    assert run_cli("run-all", "--config", workdir / "nested_config.json") == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out" / "pattern.json").exists()
+
+    ga_spec = ",".join(f"{k}={v}" for k, v in ga.items())
+    assert run_cli("search", workdir / "nested.mc",
+                   "--costs", workdir / "nested_costs.json",
+                   "--ga", ga_spec, "-o", workdir / "searched") == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "searched" / "pattern.json").exists()

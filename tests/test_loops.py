@@ -2,10 +2,11 @@
 single-pass traversal, deliberately separate from the production walker."""
 
 import json
+import math
 import random
 
 from offload_planner.minic import extract_loops, loops_in, parse_program
-from offload_planner.minic.astnodes import Assign, Block, CallStmt, ForLoop
+from offload_planner.minic.astnodes import Assign, Block, CallStmt, ForLoop, children
 
 from conftest import corpus_programs, read_corpus
 
@@ -145,6 +146,35 @@ def test_nesting_parent_and_depth():
     assert table.ancestors(inner.loop_id) == [middle.loop_id, outer.loop_id]
     assert table.subtree_ids(outer.loop_id) == [outer.loop_id, middle.loop_id,
                                                 inner.loop_id]
+
+
+def test_tree_indexes_follow_parent_links():
+    # ancestors, subtree, entry count and container chain, each checked
+    # against a direct reading of parent_loop and the AST
+    for path in corpus_programs() + [None]:
+        text = read_corpus(path.name) if path else (
+            "int i; int j; int k; float n = 3; float s; n = 2; "
+            "for(k=0;k<n;k++){ for(j=0;j<2;j++) for(i=0;i<3;i++){ s = s + 1.0; } }")
+        ast, table = table_for(text)
+        for info in table:
+            chain, lid = [], info.parent_loop
+            while lid is not None:
+                chain.append(lid)
+                lid = table.by_id[lid].parent_loop
+            assert table.ancestors(info.loop_id) == chain
+            trips = [table.by_id[a].trip_count for a in chain]
+            expected = None if None in trips else math.prod(trips)
+            assert table.exec_count(info.loop_id) == expected
+            assert table.subtree_ids(info.loop_id) == [
+                other.loop_id for other in table
+                if other.loop_id == info.loop_id
+                or info.loop_id in table.ancestors(other.loop_id)]
+            containers = table.chain(info.loop_id)
+            assert containers[0] is ast
+            assert [c.node_id for c in containers if isinstance(c, ForLoop)] == chain[::-1]
+            below = containers[1:] + (table.nodes[info.loop_id],)
+            for container, child in zip(containers, below):
+                assert any(node is child for node in children(container))
 
 
 def test_trip_counts():

@@ -6,6 +6,10 @@ by the region, a region write consumed afterward), independently of the
 static planner it checks.
 """
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from offload_planner.minic import extract_loops, parse_program
@@ -16,11 +20,12 @@ from offload_planner.offload import (
     HOST_TO_DEVICE,
     InvalidPattern,
     OffloadPattern,
+    offloaded_ids,
     plan_transfers,
     simulate_with_plan,
 )
 
-from conftest import read_corpus
+from conftest import corpus_programs, read_corpus
 
 
 class TracingEnv(Env):
@@ -218,3 +223,54 @@ def test_invalid_pattern_rejected():
                               loops.infos[2].loop_id)
     with pytest.raises(InvalidPattern):
         plan_transfers(ast, loops, nested_bits)
+
+
+def random_valid_patterns(loops, count, rng):
+    """Seeded random antichains of eligible loops, as patterns."""
+    eligible = loops.eligible_ids()
+    for _ in range(count):
+        chosen = []
+        for lid in rng.sample(eligible, len(eligible)):
+            if rng.random() < 0.5 and not any(
+                    loops.is_ancestor(lid, c) or loops.is_ancestor(c, lid)
+                    for c in chosen):
+                chosen.append(lid)
+        yield OffloadPattern(tuple(int(lid in chosen) for lid in eligible))
+
+
+def test_plan_is_concatenation_of_single_region_plans():
+    rng = random.Random(20261018)
+    for path in corpus_programs():
+        ast = parse_program(path.read_text(encoding="utf-8"))
+        loops = extract_loops(ast)
+        eligible = loops.eligible_ids()
+        for hoist in (True, False):
+            single = {}
+            for lid in eligible:
+                alone = OffloadPattern(tuple(int(x == lid) for x in eligible))
+                # a table of its own, so no region ops are shared
+                single[lid] = plan_transfers(ast, extract_loops(ast), alone,
+                                             hoist=hoist).ops
+            for pattern in random_valid_patterns(loops, 200, rng):
+                expected = tuple(op for root in offloaded_ids(pattern, loops)
+                                 for op in single[root])
+                plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+                assert plan.ops == expected, (path.name, pattern.as_string(), hoist)
+
+
+def test_concurrent_planning_matches_serial():
+    # GA workers share one loop table, so they fill its region ops at once
+    ast = parse_program(read_corpus("g10.mc"))
+    serial_loops = extract_loops(ast)
+    patterns = list(random_valid_patterns(serial_loops, 400, random.Random(3)))
+    serial = [plan_transfers(ast, serial_loops, p) for p in patterns]
+    shared = extract_loops(ast)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(plan_transfers, ast, shared, p) for p in patterns]
+            concurrent = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial

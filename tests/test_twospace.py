@@ -5,6 +5,8 @@ where the gene is short and on seeded samples where it is not."""
 import itertools
 import random
 
+import pytest
+
 from offload_planner.minic import extract_loops, interpret, parse_program
 from offload_planner.offload import (
     OffloadPattern,
@@ -173,3 +175,44 @@ def test_late_copyout_is_caught():
     baseline = interpret(ast)
     assert good.outputs == baseline
     assert bad.outputs != baseline
+
+
+PARTIAL_WRITE = """float a[8];
+float b[8];
+float s = 0;
+int i = 0;
+for (i = 0; i < 8; i++) { read_input(i); b[i] = i; }
+for (i = 0; i < 4; i++) { a[i] = b[i] * 2.0; }
+for (i = 0; i < 8; i++) { s = s + a[i]; }
+"""
+
+
+def test_host_read_of_untransferred_cell_is_a_two_space_error():
+    # the region writes a[0..3] without reading a, so a gets no copyin; its
+    # copyout hands the host cells the device never held
+    from offload_planner.offload import TwoSpaceError
+
+    ast = parse_program(PARTIAL_WRITE)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((1, 0))
+    plan = plan_transfers(ast, loops, pattern)
+    with pytest.raises(TwoSpaceError, match=r"host read of 'a\[4\]'"):
+        simulate_with_plan(ast, loops, pattern, plan)
+
+
+def test_verify_reports_untransferred_host_read_as_failed_diff(tmp_path):
+    from offload_planner.evaluation import Measurement, ToleranceSpec
+    from offload_planner.planner import Allocation
+    from offload_planner.verify import TestCase, run_verification
+
+    source = tmp_path / "partial.mc"
+    source.write_text(PARTIAL_WRITE, encoding="utf-8")
+    case = TestCase(name="partial", kind="performance", source=str(source),
+                    pattern=(1, 0), baseline=str(source),
+                    tolerance=ToleranceSpec())
+    report = run_verification(Allocation(1, 1, 5000.0, True),
+                              Measurement(2.0, 1.0, 1.0, True), [case], {}, [])
+    row = report.performance[0]
+    assert not row.diff_passed
+    assert row.note == "host read of 'a[4]', which was never transferred"
+    assert report.recommendation == "attention"
