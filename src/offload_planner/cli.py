@@ -3,8 +3,11 @@
 Subcommands mirror the pipeline stages and share stable file contracts so
 they compose: analyze -> loops.json; search -> pattern.json, the annotated
 .acc.mc source, search.json; plan -> plan.json; verify -> report.json and
-report.txt. run-all chains all four from one JSON config and exits 0 only
-when the verification report says ready.
+report.txt. Files are the contract only between subcommands run
+separately: run-all chains all four from one JSON config, reads the
+program and its cost annotations once in the analyze stage and passes
+values from stage to stage, and exits 0 only when the verification
+report says ready.
 
 Exit codes: 0 ready, 1 attention, 2 configuration or infeasibility errors.
 The OFFLOAD_SEED environment variable overrides the configured GA seed.
@@ -104,10 +107,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError("external backend needs a 'command' template")
     if backend == "sim" and command:
         raise ConfigError("exactly one backend: drop 'command' or use backend=external")
-    ga = GaConfig.from_json(raw.get("ga", {}))
-    seed_override = os.environ.get("OFFLOAD_SEED")
-    if seed_override is not None:
-        ga = GaConfig.from_json({**ga.to_json(), "seed": int(seed_override)})
+    ga = _ga_config(raw.get("ga", {}))
     prices_raw = raw.get("prices", {})
     return PipelineConfig(
         source=resolve("source"),
@@ -141,27 +141,29 @@ def _write_text(path: Path, text: str):
         f.write(text)
 
 
-def _load_source(path: Path):
-    with open(path, encoding="utf-8") as f:
+def _load_program(source: Path, costs_path: Path | None):
+    """(ast, loop table, cost annotations or None) of a program on disk;
+    the annotations must name only loops of the program."""
+    with open(source, encoding="utf-8") as f:
         ast = parse_program(f.read())
-    return ast, extract_loops(ast)
-
-
-def _validate_costs(costs: CostAnnotations, loops: LoopTable):
-    known = {info.loop_id for info in loops}
-    stray = sorted(set(costs.work) - known)
-    if stray:
-        raise ConfigError(f"cost annotations reference unknown loop ids {stray}")
+    loops = extract_loops(ast)
+    costs = None
+    if costs_path is not None:
+        costs = CostAnnotations.load(costs_path)
+        stray = sorted(set(costs.work) - {info.loop_id for info in loops})
+        if stray:
+            raise ConfigError(f"cost annotations reference unknown loop ids {stray}")
+    return ast, loops, costs
 
 
 # -- stages -----------------------------------------------------------------
 
-def stage_analyze(source: Path, outdir: Path, costs_path: Path | None = None) -> LoopTable:
-    ast, loops = _load_source(source)
-    if costs_path is not None:
-        _validate_costs(CostAnnotations.load(costs_path), loops)
+def stage_analyze(source: Path, outdir: Path, costs_path: Path | None = None):
+    """Load the program and its cost annotations, write loops.json and
+    return (ast, loops, costs) for the later stages."""
+    ast, loops, costs = _load_program(source, costs_path)
     _write_json(outdir / "loops.json", loops.to_json())
-    return loops
+    return ast, loops, costs
 
 
 def make_evaluator(ast, loops, backend: str, costs: CostAnnotations | None,
@@ -195,15 +197,10 @@ def make_evaluator(ast, loops, backend: str, costs: CostAnnotations | None,
     return external_eval
 
 
-def stage_search(source: Path, outdir: Path, backend: str,
-                 costs_path: Path | None, command: str | None,
+def stage_search(ast, loops: LoopTable, costs: CostAnnotations | None,
+                 name: str, outdir: Path, backend: str, command: str | None,
                  ga: GaConfig, workers: int = 1,
                  timeout: float = 300.0) -> SearchResult:
-    ast, loops = _load_source(source)
-    costs = None
-    if backend == "sim":
-        costs = CostAnnotations.load(costs_path)
-        _validate_costs(costs, loops)
     evaluator = make_evaluator(ast, loops, backend, costs, command, outdir, timeout)
     result = run_ga(loops, evaluator, ga, workers=workers)
     m = result.best.measurement
@@ -214,7 +211,7 @@ def stage_search(source: Path, outdir: Path, backend: str,
     save_pattern(outdir / "pattern.json", best, loops)
     plan = plan_transfers(ast, loops, best)
     annotated = emit_annotated(ast, best, plan, loops)
-    _write_text(outdir / f"{source.stem}.acc.mc", annotated)
+    _write_text(outdir / f"{name}.acc.mc", annotated)
     _write_json(outdir / "search.json", result.to_json())
     return result
 
@@ -239,18 +236,11 @@ def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
     return allocation
 
 
-def stage_verify(plan_path: Path, tests_path: Path, registry_path: Path,
-                 components: list, outdir: Path,
-                 tolerance: ToleranceSpec | None = None,
+def stage_verify(allocation: Allocation, t_cpu: float, t_dev: float,
+                 tests_path: Path, registry_path: Path, components: list,
+                 outdir: Path, tolerance: ToleranceSpec | None = None,
                  timeout: float = 300.0) -> int:
-    with open(plan_path, encoding="utf-8") as f:
-        plan_data = json.load(f)
-    alloc_data = plan_data["allocation"]
-    allocation = Allocation(alloc_data["cpu_units"], alloc_data["dev_units"],
-                            alloc_data["monthly_cost"], alloc_data["ratio_kept"])
-    inputs = plan_data["inputs"]
-    measurement = Measurement(inputs["t_cpu"] + inputs["t_dev"],
-                              inputs["t_cpu"], inputs["t_dev"], valid=True)
+    measurement = Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
     tests = load_tests(tests_path)
     registry = load_registry(registry_path)
     report = run_verification(allocation, measurement, tests, registry,
@@ -266,16 +256,28 @@ def stage_verify(plan_path: Path, tests_path: Path, registry_path: Path,
 def run_pipeline(cfg: PipelineConfig) -> int:
     """analyze -> search -> plan -> verify, writing all artifacts."""
     outdir = cfg.output_dir
-    stage_analyze(cfg.source, outdir, cfg.costs)
-    result = stage_search(cfg.source, outdir, cfg.backend, cfg.costs,
-                          cfg.command, cfg.ga, cfg.workers, cfg.timeout)
+    ast, loops, costs = stage_analyze(cfg.source, outdir, cfg.costs)
+    result = stage_search(ast, loops, costs, cfg.source.stem, outdir,
+                          cfg.backend, cfg.command, cfg.ga, cfg.workers,
+                          cfg.timeout)
     m = result.best.measurement
-    stage_plan(m.t_cpu_part, m.t_dev_part, cfg.prices, cfg.budget, outdir)
-    return stage_verify(outdir / "plan.json", cfg.tests, cfg.registry,
-                        cfg.components, outdir, cfg.tolerance, cfg.timeout)
+    allocation = stage_plan(m.t_cpu_part, m.t_dev_part, cfg.prices,
+                            cfg.budget, outdir)
+    return stage_verify(allocation, m.t_cpu_part, m.t_dev_part, cfg.tests,
+                        cfg.registry, cfg.components, outdir, cfg.tolerance,
+                        cfg.timeout)
 
 
 # -- argument parsing --------------------------------------------------------
+
+def _ga_config(data: dict) -> GaConfig:
+    """GaConfig from its JSON fields; OFFLOAD_SEED, when set, replaces the
+    seed."""
+    seed_override = os.environ.get("OFFLOAD_SEED")
+    if seed_override is not None:
+        data = {**data, "seed": int(seed_override)}
+    return GaConfig.from_json(data)
+
 
 def _parse_ga_overrides(spec: str | None, base: GaConfig) -> GaConfig:
     data = base.to_json()
@@ -287,10 +289,7 @@ def _parse_ga_overrides(spec: str | None, base: GaConfig) -> GaConfig:
             if key not in data:
                 raise ConfigError(f"unknown GA parameter {key!r}")
             data[key] = value
-    seed_override = os.environ.get("OFFLOAD_SEED")
-    if seed_override is not None:
-        data["seed"] = int(seed_override)
-    return GaConfig.from_json(data)
+    return _ga_config(data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,9 +361,16 @@ def main(argv=None) -> int:
             registry = load_registry(args.registry)
             components = (args.components.split(",") if args.components
                           else sorted(registry))
-            return stage_verify(Path(args.plan), Path(args.tests),
-                                Path(args.registry), components,
-                                Path(args.output_dir), timeout=args.timeout)
+            with open(args.plan, encoding="utf-8") as f:
+                plan = json.load(f)
+            alloc = plan["allocation"]
+            allocation = Allocation(alloc["cpu_units"], alloc["dev_units"],
+                                    alloc["monthly_cost"], alloc["ratio_kept"])
+            return stage_verify(allocation, plan["inputs"]["t_cpu"],
+                                plan["inputs"]["t_dev"],
+                                Path(args.tests), Path(args.registry),
+                                components, Path(args.output_dir),
+                                timeout=args.timeout)
         if args.cmd == "run-all":
             return run_pipeline(load_config(args.config))
         raise ConfigError(f"unknown command {args.cmd!r}")
@@ -379,9 +385,12 @@ def _cmd_search(args) -> int:
     if args.backend == "sim" and not args.costs:
         raise ConfigError("sim backend needs --costs")
     ga = _parse_ga_overrides(args.ga, GaConfig())
-    stage_search(Path(args.src), Path(args.output_dir), args.backend,
-                 Path(args.costs) if args.costs else None, args.cmd_template,
-                 ga, workers=args.workers, timeout=args.timeout)
+    source = Path(args.src)
+    costs_path = Path(args.costs) if args.backend == "sim" else None
+    ast, loops, costs = _load_program(source, costs_path)
+    stage_search(ast, loops, costs, source.stem, Path(args.output_dir),
+                 args.backend, args.cmd_template, ga, workers=args.workers,
+                 timeout=args.timeout)
     return EXIT_READY
 
 

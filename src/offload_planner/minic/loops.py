@@ -18,19 +18,17 @@ import math
 from dataclasses import dataclass
 
 from .astnodes import (
-    BinOp,
     Block,
     Call,
     CallStmt,
     ForLoop,
-    Num,
     Program,
-    Var,
     VarDecl,
     accesses,
     children,
     walk,
 )
+from .interp import Env, EvalError, eval_expr
 
 
 @dataclass(frozen=True)
@@ -193,49 +191,27 @@ def _index_written(loop: ForLoop) -> bool:
     return loop.var in assigned or loop.var in control
 
 
-def _single_assignment_constants(ast: Program) -> dict[str, float]:
-    """name -> value for variables never assigned anywhere, folded from their
+def _single_assignment_constants(ast: Program) -> Env:
+    """Store of the variables never assigned anywhere, folded from their
     declaration initializer (default 0 for scalars without one)."""
     _, assigned, control = accesses(ast)
-    consts: dict[str, float] = {}
+    consts = Env()
     for item in ast.items:
         if (isinstance(item, VarDecl) and not item.is_array
                 and item.name not in assigned and item.name not in control):
             value = 0.0 if item.init is None else _fold(item.init, consts)
             if value is not None:
-                consts[item.name] = value
+                consts.write(item.name, value)
     return consts
 
 
-def _fold(expr, consts) -> float | None:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return consts.get(expr.name)
-    if isinstance(expr, BinOp):
-        left = _fold(expr.left, consts)
-        right = _fold(expr.right, consts)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0.0:
-            return None
-        return left / right
-    if isinstance(expr, Call) and expr.intrinsic:
-        arg = _fold(expr.args[0], consts)
-        if arg is None:
-            return None
-        fn = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}[expr.name]
-        try:
-            return fn(arg)
-        except ValueError:
-            return None
-    return None
+def _fold(expr, consts: Env) -> float | None:
+    """The expression's value over the constants; None when it reads
+    anything else (a KeyError) or cannot be evaluated."""
+    try:
+        return eval_expr(expr, consts)
+    except (EvalError, KeyError):
+        return None
 
 
 def static_trip_count(loop: ForLoop, consts) -> int | None:

@@ -24,6 +24,7 @@ from .evaluation import (
     ShapeMismatch,
     ToleranceSpec,
     compare_results,
+    evaluate_external,
     run_command,
 )
 from .minic.interp import EvalError, interpret
@@ -220,26 +221,38 @@ def _regression_row(name: str, command: str, timeout: float) -> RegressionRow:
     return RegressionRow(name, passed=code == 0, exit_code=code, note=note)
 
 
-def _sim_diff(case: TestCase, tol: ToleranceSpec) -> PerformanceRow:
-    """Interpret offloaded vs baseline and compare numerically."""
+def _program(path: str, programs: dict):
+    """(ast, loop table) of the program at path, loaded once per table. A
+    failed load is not stored, so every case that needs it fails alike."""
+    if path not in programs:
+        with open(path, encoding="utf-8") as f:
+            ast = parse_program(f.read())
+        programs[path] = (ast, extract_loops(ast))
+    return programs[path]
+
+
+def _sim_diff(case: TestCase, tol: ToleranceSpec, scaled: float | None,
+              throughput: float | None, programs: dict,
+              baselines: dict) -> PerformanceRow:
+    """Run the offloaded program in the two-space model and compare it
+    numerically with the plainly interpreted baseline. interpret is pure,
+    so each distinct baseline runs once per ``baselines`` table."""
     if case.baseline is None:
         raise ConfigError(f"performance case '{case.name}' lacks a baseline source")
     try:
-        with open(case.source, encoding="utf-8") as f:
-            ast = parse_program(f.read())
-        with open(case.baseline, encoding="utf-8") as f:
-            baseline_ast = parse_program(f.read())
-        loops = extract_loops(ast)
+        ast, loops = _program(case.source, programs)
+        baseline_ast, _ = _program(case.baseline, programs)
         pattern = OffloadPattern(tuple(case.pattern or ()))
         plan = plan_transfers(ast, loops, pattern)
         offloaded = simulate_with_plan(ast, loops, pattern, plan).outputs
-        baseline = interpret(baseline_ast)
-        verdict = compare_results(offloaded, baseline, tol)
-        return PerformanceRow(case.name, None, None, verdict.passed,
+        if case.baseline not in baselines:
+            baselines[case.baseline] = interpret(baseline_ast)
+        verdict = compare_results(offloaded, baselines[case.baseline], tol)
+        return PerformanceRow(case.name, scaled, throughput, verdict.passed,
                               verdict.worst_variable, verdict.worst_deviation)
     except (ParseError, EvalError, TwoSpaceError, InvalidPattern, LengthMismatch,
             ShapeMismatch, OSError, ValueError) as exc:
-        return PerformanceRow(case.name, None, None, False, note=str(exc))
+        return PerformanceRow(case.name, scaled, throughput, False, note=str(exc))
 
 
 def run_verification(allocation: Allocation, measurement: Measurement,
@@ -255,12 +268,12 @@ def run_verification(allocation: Allocation, measurement: Measurement,
                                 monthly_cost=allocation.monthly_cost)
     scaled = _scaled_time(measurement, allocation)
     throughput = (1.0 / scaled) if scaled else None
+    programs: dict = {}            # path -> (ast, loop table)
+    baselines: dict = {}           # path -> interpreted outputs
 
     for case in tests:
         if case.kind == "performance":
             if case.command is not None:
-                from .evaluation import evaluate_external
-
                 m = evaluate_external(case.command, "", "", timeout=timeout)
                 case_scaled = _scaled_time(m, allocation)
                 case_tput = (1.0 / case_scaled) if case_scaled else None
@@ -268,10 +281,9 @@ def run_verification(allocation: Allocation, measurement: Measurement,
                     case.name, case_scaled, case_tput,
                     diff_passed=m.valid, note=m.note))
             else:
-                row = _sim_diff(case, case.tolerance or tol_default)
-                report.performance.append(PerformanceRow(
-                    case.name, scaled, throughput, row.diff_passed,
-                    row.worst_variable, row.worst_deviation, row.note))
+                report.performance.append(_sim_diff(
+                    case, case.tolerance or tol_default, scaled, throughput,
+                    programs, baselines))
         else:
             report.regression.append(_regression_row(case.name, case.command, timeout))
 

@@ -7,11 +7,14 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from offload_planner import cli, verify
 from offload_planner.cli import main
+from offload_planner.minic.parser import ParseError, parse_program
 
 from conftest import CORPUS
 
@@ -164,6 +167,59 @@ def test_seed_env_override(workdir, monkeypatch):
                    workdir / "g3_costs.json", "-o", out1) == 0
     seed = json.loads((out1 / "search.json").read_text())["config"]["seed"]
     assert seed == 123
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") == 0
+    seed = json.loads((workdir / "out" / "search.json").read_text())["config"]["seed"]
+    assert seed == 123
+
+
+def add_performance_cases(workdir, baseline, patterns):
+    tests = json.loads((workdir / "g3_tests.json").read_text())
+    tests += [{"name": f"case-{k}", "kind": "performance", "source": "g3.mc",
+               "baseline": baseline, "pattern": bits}
+              for k, bits in enumerate(patterns)]
+    (workdir / "g3_tests.json").write_text(json.dumps(tests))
+
+
+def test_run_all_loads_and_runs_each_program_once(workdir, monkeypatch):
+    # the corpus case and this one share g3.mc as source and baseline
+    add_performance_cases(workdir, "g3.mc", [[0, 0, 1]])
+    calls = Counter()
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{attr}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    for module in (cli, verify):
+        count(module, "parse_program")
+        count(module, "extract_loops")
+    count(verify, "interpret")
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") == 0
+    report = json.loads((workdir / "out" / "report.json").read_text())
+    assert len(report["performance"]) == 2
+    assert calls == {"offload_planner.cli.parse_program": 1,
+                     "offload_planner.cli.extract_loops": 1,
+                     "offload_planner.verify.parse_program": 1,
+                     "offload_planner.verify.extract_loops": 1,
+                     "offload_planner.verify.interpret": 1}
+
+
+def test_cases_sharing_a_broken_baseline_report_the_same_note(workdir):
+    broken = "float a[4];\na[0] = ;\n"
+    (workdir / "broken.mc").write_text(broken)
+    with pytest.raises(ParseError) as parse_error:
+        parse_program(broken)
+    tests = json.loads((workdir / "g3_tests.json").read_text())
+    (workdir / "g3_tests.json").write_text(json.dumps(
+        [case for case in tests if case["kind"] != "performance"]))
+    add_performance_cases(workdir, "broken.mc", [[1, 1, 0], [0, 0, 1]])
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") == 1
+    report = json.loads((workdir / "out" / "report.json").read_text())
+    assert [row["note"] for row in report["performance"]] == [str(parse_error.value)] * 2
 
 
 def test_search_requires_costs_for_sim(workdir, capsys):

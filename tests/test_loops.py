@@ -184,9 +184,15 @@ def test_trip_counts():
         ("for(i=0;i<10;i+=3){ s = s + 1.0; }", 4),
         ("for(i=2;i<=10;i+=4){ s = s + 1.0; }", 3),
         ("for(i=0;i<n*2;i++){ s = s + 1.0; }", 8),
+        ("for(i=0;i<sqrt(16);i++){ s = s + 1.0; }", 4),
+        ("for(i=0;i<n/0;i++){ s = s + 1.0; }", None),
+        ("for(i=0;i<a[0];i++){ s = s + 1.0; }", None),
+        ("r = 2; for(i=0;i<r;i++){ s = s + 1.0; }", None),
+        ("for(i=0;i<sqrt(0 - 1);i++){ s = s + 1.0; }", None),
+        ("for(i=0;i<n*(1 + 1)/2;i++){ s = s + 1.0; }", 4),
     ]
     for body, expected in cases:
-        _, table = table_for(f"int i; float s; int n = 4; {body}")
+        _, table = table_for(f"int i; float s; int n = 4; float a[4]; int r = 4; {body}")
         assert table.infos[0].trip_count == expected, body
 
 
