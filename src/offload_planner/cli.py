@@ -237,12 +237,10 @@ def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
 
 
 def stage_verify(allocation: Allocation, t_cpu: float, t_dev: float,
-                 tests_path: Path, registry_path: Path, components: list,
+                 tests: list, registry: dict, components: list,
                  outdir: Path, tolerance: ToleranceSpec | None = None,
                  timeout: float = 300.0) -> int:
     measurement = Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
-    tests = load_tests(tests_path)
-    registry = load_registry(registry_path)
     report = run_verification(allocation, measurement, tests, registry,
                               components, default_tolerance=tolerance,
                               timeout=timeout)
@@ -263,8 +261,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     m = result.best.measurement
     allocation = stage_plan(m.t_cpu_part, m.t_dev_part, cfg.prices,
                             cfg.budget, outdir)
-    return stage_verify(allocation, m.t_cpu_part, m.t_dev_part, cfg.tests,
-                        cfg.registry, cfg.components, outdir, cfg.tolerance,
+    tests = load_tests(cfg.tests)
+    registry = load_registry(cfg.registry)
+    return stage_verify(allocation, m.t_cpu_part, m.t_dev_part, tests,
+                        registry, cfg.components, outdir, cfg.tolerance,
                         cfg.timeout)
 
 
@@ -366,9 +366,9 @@ def main(argv=None) -> int:
             alloc = plan["allocation"]
             allocation = Allocation(alloc["cpu_units"], alloc["dev_units"],
                                     alloc["monthly_cost"], alloc["ratio_kept"])
+            tests = load_tests(args.tests)
             return stage_verify(allocation, plan["inputs"]["t_cpu"],
-                                plan["inputs"]["t_dev"],
-                                Path(args.tests), Path(args.registry),
+                                plan["inputs"]["t_dev"], tests, registry,
                                 components, Path(args.output_dir),
                                 timeout=args.timeout)
         if args.cmd == "run-all":

@@ -150,8 +150,18 @@ def run_ga(loops: LoopTable, evaluator, cfg: GaConfig,
 
     evaluator maps a Valid OffloadPattern to a Measurement and is treated as
     a one-shot oracle per gene. Deterministic given (cfg.seed, deterministic
-    evaluator), with or without concurrent evaluation.
+    evaluator), with or without concurrent evaluation; with workers > 1 one
+    thread pool serves the whole search.
     """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _search(loops, evaluator, cfg, pool.map)
+    return _search(loops, evaluator, cfg, map)
+
+
+def _search(loops: LoopTable, evaluator, cfg: GaConfig, measure) -> SearchResult:
+    """run_ga's search; measure(evaluator, patterns) yields the measurements
+    in order."""
     rng = random.Random(cfg.seed)
     length = loops.gene_length()
     memo: dict[tuple, Measurement] = {}
@@ -167,14 +177,9 @@ def run_ga(loops: LoopTable, evaluator, cfg: GaConfig,
                     fresh.append(ind)
                 else:
                     memo[ind.gene] = Measurement.invalid(f"invalid pattern: {reason}")
-        if fresh:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(lambda i: evaluator(i.pattern), fresh))
-            else:
-                results = [evaluator(ind.pattern) for ind in fresh]
-            for ind, m in zip(fresh, results):
-                memo[ind.gene] = m
+        results = measure(evaluator, [ind.pattern for ind in fresh])
+        for ind, m in zip(fresh, results):
+            memo[ind.gene] = m
         for ind in pop:
             ind.measurement = memo[ind.gene]
             ind.fitness = fitness_of(ind.measurement)

@@ -60,6 +60,15 @@ class Env:
     def array_len(self, name: str) -> int:
         return len(self.values[name])
 
+    def final_values(self, ast: Program) -> dict:
+        """Top-level variables of ``ast`` in declaration order, arrays as tuples."""
+        out: dict[str, float | tuple] = {}
+        for item in ast.items:
+            if isinstance(item, VarDecl):
+                value = self.values[item.name]
+                out[item.name] = tuple(value) if isinstance(value, list) else value
+        return out
+
 
 def eval_expr(expr, env) -> float:
     """Evaluate an expression against any Env-shaped store."""
@@ -174,9 +183,4 @@ def interpret(ast: Program, iteration_cap: int = ITERATION_CAP) -> dict:
     order. Referentially transparent: equal ASTs give bit-equal outputs."""
     executor = Executor(Env(), iteration_cap)
     executor.run_program(ast)
-    out: dict[str, float | tuple] = {}
-    for item in ast.items:
-        if isinstance(item, VarDecl):
-            value = executor.env.values[item.name]
-            out[item.name] = tuple(value) if isinstance(value, list) else value
-    return out
+    return executor.env.final_values(ast)

@@ -13,7 +13,7 @@ table and a pattern's plan is its regions' ops in loop-table order:
   * host-to-device (copyin) for every variable whose value flows into the
     region from outside: read in the region before the region writes it;
   * device-to-host (copyout) for every variable the region writes that CPU
-    code can later read or rewrite;
+    code can later read or rewrite, or whose copyin refires in a CPU loop;
   * each op anchors at the region root, then hoists outward past enclosing
     CPU loops while the enclosing loop has no blocking access, batching the
     transfer to run once instead of once per enclosing iteration.
@@ -21,6 +21,12 @@ table and a pattern's plan is its regions' ops in loop-table order:
 Blocking accesses include loop-header index updates: LoopInfo.defs excludes
 loop control writes, but hoisting a copyin past a header that rewrites the
 transferred variable every iteration would ship a stale value.
+
+Two-space execution runs CPU code on a host store and each region on a
+device store. A device write marks a variable device-fresh; a host write or
+a transfer clears the mark. The teardown flush copies out exactly the
+device-fresh variables: region-written loop indices and results that no CPU
+code touches later get no copyout, yet are program outputs.
 """
 
 from __future__ import annotations
@@ -173,6 +179,8 @@ def _region_ops(ast: Program, loops: LoopTable, root: int, hoist: bool) -> tuple
     ops = []
     for var in sorted(_upward_exposed(loops.nodes[root], loops)):
         at = anchor(var, reads_block=False)
+        if enclosing and at != enclosing[-1][0]:
+            later.add(var)  # refires per enclosing iteration, so copy back
         ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
                               decls[var].byte_size, root))
     for var in sorted(loops.by_id[root].defs & later):
@@ -264,94 +272,64 @@ class TwoSpaceError(EvalError):
 _POISON = object()
 
 
-class _DualEnv(Env):
-    """Host and device stores with explicit synchronization.
-
-    Reads and writes route to the store named by ``context``. Device storage
-    materializes on first transfer or kernel write; reading a cell the device
-    never received is an error. Freshness ticks record which space holds each
-    variable's newest value.
-    """
+class _HostStore(Env):
+    """Host memory, and the device-fresh set: device writes add to it, host
+    writes and transfers remove from it, the teardown flush copies it out.
+    Reading a cell that a copy from the device left untransferred raises."""
 
     def __init__(self):
         super().__init__()
-        self.device: dict[str, float | list] = {}
-        self.context = "host"
-        self.tick = 0
-        self.host_w: dict[str, int] = {}
-        self.dev_w: dict[str, int] = {}
-
-    def declare(self, decl: VarDecl, init_value):
-        super().declare(decl, init_value)
-        self.host_w[decl.name] = self._next_tick()
-        self.dev_w[decl.name] = -1
-
-    def _next_tick(self) -> int:
-        self.tick += 1
-        return self.tick
-
-    def read(self, name):
-        if self.context == "host":
-            return self.values[name]
-        value = self._device_cell(name)
-        if value is _POISON:
-            raise TwoSpaceError(f"device read of '{name}' before any transfer")
-        return value
+        self.device_fresh: set = set()
 
     def write(self, name, value):
-        if self.context == "host":
-            self.values[name] = value
-            self.host_w[name] = self._next_tick()
-        else:
-            self.device[name] = value
-            self.dev_w[name] = self._next_tick()
-
-    def read_elem(self, name, idx):
-        if self.context == "host":
-            value = self.values[name][idx]
-            if value is _POISON:
-                raise TwoSpaceError(
-                    f"host read of '{name}[{idx}]', which was never transferred")
-            return value
-        cell = self._device_cell(name)
-        if cell is _POISON or cell[idx] is _POISON:
-            raise TwoSpaceError(
-                f"device read of '{name}[{idx}]' before any transfer")
-        return cell[idx]
+        self.values[name] = value
+        self.device_fresh.discard(name)
 
     def write_elem(self, name, idx, value):
-        if self.context == "host":
-            self.values[name][idx] = value
-            self.host_w[name] = self._next_tick()
-        else:
-            if name not in self.device:
-                self.device[name] = [_POISON] * len(self.values[name])
-            self.device[name][idx] = value
-            self.dev_w[name] = self._next_tick()
+        self.values[name][idx] = value
+        self.device_fresh.discard(name)
+
+    def read_elem(self, name, idx):
+        value = self.values[name][idx]
+        if value is _POISON:
+            raise TwoSpaceError(
+                f"host read of '{name}[{idx}]', which was never transferred")
+        return value
+
+
+class _DeviceStore(Env):
+    """Device memory: a variable materializes on its first transfer or kernel
+    write; reading one it never received raises. Writes mark it device-fresh,
+    so the teardown flush carries out values no copyout was planned for."""
+
+    def __init__(self, host: _HostStore):
+        super().__init__()
+        self.host = host
+
+    def read(self, name):
+        if name not in self.values:
+            raise TwoSpaceError(f"device read of '{name}' before any transfer")
+        return self.values[name]
+
+    def write(self, name, value):
+        self.values[name] = value
+        self.host.device_fresh.add(name)
+
+    def read_elem(self, name, idx):
+        value = self.read(name)[idx]
+        if value is _POISON:
+            raise TwoSpaceError(
+                f"device read of '{name}[{idx}]' before any transfer")
+        return value
+
+    def write_elem(self, name, idx, value):
+        if name not in self.values:
+            self.values[name] = [_POISON] * self.host.array_len(name)
+        self.values[name][idx] = value
+        self.host.device_fresh.add(name)
 
     def array_len(self, name):
-        return len(self.values[name])
-
-    def _device_cell(self, name):
-        if name not in self.device:
-            raise TwoSpaceError(f"device read of '{name}' before any transfer")
-        return self.device[name]
-
-    def copy_in(self, name):
-        value = self.values[name]
-        self.device[name] = list(value) if isinstance(value, list) else value
-        self.dev_w[name] = self.host_w[name]
-
-    def copy_out(self, name):
-        value = self.device[name]
-        self.values[name] = list(value) if isinstance(value, list) else value
-        self.host_w[name] = self.dev_w[name]
-
-    def flush_device(self):
-        """Program teardown: device-fresh values become visible to the host."""
-        for name, dev_tick in self.dev_w.items():
-            if name in self.device and dev_tick > self.host_w.get(name, -1):
-                self.copy_out(name)
+        return self.host.array_len(name)
 
 
 @dataclass
@@ -362,31 +340,44 @@ class SimResult:
 
 
 class _OffloadExecutor(Executor):
-    def __init__(self, env: _DualEnv, plan: TransferPlan, regions: set):
-        super().__init__(env)
-        self.plan = plan
-        self.regions = regions
-        self.op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
+    """Runs regions on the device store, all else on the host store."""
 
-    def _fire(self, op: TransferOp):
-        if op.direction == HOST_TO_DEVICE:
-            self.env.copy_in(op.var)
-        else:
-            self.env.copy_out(op.var)
-        self.op_counts[op] += 1
+    def __init__(self, plan: TransferPlan, regions: set):
+        self.host = _HostStore()
+        self.device = _DeviceStore(self.host)
+        super().__init__(self.host)
+        self.regions = regions
+        self.spaces = {HOST_TO_DEVICE: (self.host, self.device),
+                       DEVICE_TO_HOST: (self.device, self.host)}
+        self.op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
+        self.anchored: dict = {}    # (anchor loop, position) -> ops in plan order
+        for op in plan.ops:
+            self.anchored.setdefault((op.anchor_loop, op.position), []).append(op)
+
+    def _copy(self, source: Env, target: Env, name: str):
+        value = source.values[name]
+        target.values[name] = list(value) if isinstance(value, list) else value
+        self.host.device_fresh.discard(name)
+
+    def _fire(self, loop_id: int, position: str):
+        for op in self.anchored.get((loop_id, position), ()):
+            self._copy(*self.spaces[op.direction], op.var)
+            self.op_counts[op] += 1
 
     def enter_loop(self, loop: ForLoop):
-        for op in self.plan.before(loop.node_id):
-            self._fire(op)
+        self._fire(loop.node_id, "before")
         if loop.node_id in self.regions:
-            assert self.env.context == "host", "regions cannot nest"
-            self.env.context = "device"
+            self.env = self.device
 
     def exit_loop(self, loop: ForLoop):
         if loop.node_id in self.regions:
-            self.env.context = "host"
-        for op in self.plan.after(loop.node_id):
-            self._fire(op)
+            self.env = self.host
+        self._fire(loop.node_id, "after")
+
+    def run_program(self, ast: Program):
+        super().run_program(ast)
+        for name in sorted(self.host.device_fresh):  # the teardown flush
+            self._copy(*self.spaces[DEVICE_TO_HOST], name)
 
 
 def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
@@ -397,23 +388,13 @@ def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     reason = validate_pattern(pattern, loops)
     if reason is not None:
         raise InvalidPattern(reason)
-    env = _DualEnv()
-    executor = _OffloadExecutor(env, plan, set(offloaded_ids(pattern, loops)))
+    executor = _OffloadExecutor(plan, set(offloaded_ids(pattern, loops)))
     executor.run_program(ast)
-    env.flush_device()
-    outputs: dict[str, float | tuple] = {}
-    for item in ast.items:
-        if isinstance(item, VarDecl):
-            value = env.values[item.name]
-            if isinstance(value, list):
-                if any(cell is _POISON for cell in value):
-                    raise TwoSpaceError(
-                        f"'{item.name}' holds untransferred device garbage at exit")
-                value = tuple(value)
-            elif value is _POISON:
-                raise TwoSpaceError(
-                    f"'{item.name}' holds untransferred device garbage at exit")
-            outputs[item.name] = value
+    outputs = executor.host.final_values(ast)
+    for name, value in outputs.items():
+        if isinstance(value, tuple) and any(cell is _POISON for cell in value):
+            raise TwoSpaceError(
+                f"'{name}' holds untransferred device garbage at exit")
     return SimResult(outputs, executor.op_counts, sum(executor.op_counts.values()))
 
 

@@ -208,6 +208,21 @@ def test_run_all_loads_and_runs_each_program_once(workdir, monkeypatch):
                      "offload_planner.verify.interpret": 1}
 
 
+def test_run_all_and_verify_read_the_registry_once(workdir, monkeypatch):
+    loaded = []
+    original = cli.load_registry
+    monkeypatch.setattr(cli, "load_registry",
+                        lambda path: loaded.append(path) or original(path))
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") == 0
+    assert len(loaded) == 1
+    loaded.clear()
+    assert run_cli("verify", "--plan", workdir / "out" / "plan.json",
+                   "--tests", workdir / "g3_tests.json",
+                   "--registry", workdir / "g3_registry.json",
+                   "-o", workdir / "v") == 0
+    assert len(loaded) == 1
+
+
 def test_cases_sharing_a_broken_baseline_report_the_same_note(workdir):
     broken = "float a[4];\na[0] = ;\n"
     (workdir / "broken.mc").write_text(broken)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from offload_planner import ga
 from offload_planner.evaluation import CostAnnotations, Measurement, evaluate_sim
 from offload_planner.ga import (
     GaConfig,
@@ -125,12 +126,22 @@ def test_memoization_and_seed_determinism():
     assert first.evaluations == second.evaluations
 
 
-def test_concurrent_evaluation_matches_serial():
+def test_concurrent_evaluation_matches_serial(monkeypatch):
+    pools = []
+
+    class CountedPool(ga.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ga, "ThreadPoolExecutor", CountedPool)
     ast, loops, costs = load_instance("g10.mc", "g10_costs.json")
     evaluator = sim_evaluator(ast, loops, costs)
     cfg = GaConfig(seed=11)
     serial = run_ga(loops, evaluator, cfg, workers=1)
+    assert pools == []
     threaded = run_ga(loops, evaluator, cfg, workers=4)
+    assert len(pools) == 1                   # one pool for the whole search
     assert serial.best.gene == threaded.best.gene
     assert serial.history == threaded.history
     assert serial.evaluations == threaded.evaluations

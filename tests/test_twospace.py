@@ -2,20 +2,24 @@
 must reproduce plain interpretation bit-exactly, exhaustively over patterns
 where the gene is short and on seeded samples where it is not."""
 
+import importlib.util
 import itertools
 import random
+import sys
 
 import pytest
 
 from offload_planner.minic import extract_loops, interpret, parse_program
 from offload_planner.offload import (
+    DEVICE_TO_HOST,
     OffloadPattern,
+    TransferPlan,
     plan_transfers,
     simulate_with_plan,
     validate_pattern,
 )
 
-from conftest import corpus_programs
+from conftest import CORPUS, corpus_programs
 
 
 def valid_patterns(loops, limit_exhaustive=8, samples=64, seed=5):
@@ -216,3 +220,77 @@ def test_verify_reports_untransferred_host_read_as_failed_diff(tmp_path):
     assert not row.diff_passed
     assert row.note == "host read of 'a[4]', which was never transferred"
     assert report.recommendation == "attention"
+
+
+def test_unhoisted_copyin_inside_a_cpu_loop_gets_a_copyout():
+    # unhoisted, the copyin of a fires on every j iteration; without a
+    # copyout it would ship the host's stale a over the device's newer one
+    src = ("float a[4]; int i = 0; int j = 0; "
+           "for (i = 0; i < 4; i++) { read_input(i); a[i] = i; } "
+           "for (j = 0; j < 3; j++) { for (i = 0; i < 4; i++) { a[i] = a[i] + 1.0; } }")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((0, 1))
+    plan = plan_transfers(ast, loops, pattern, hoist=False)
+    assert [(op.var, op.direction) for op in plan.ops] == [
+        ("a", "host_to_device"), ("a", "device_to_host")]
+    sim = simulate_with_plan(ast, loops, pattern, plan)
+    assert sim.outputs == interpret(ast)
+    assert sim.outputs["a"] == (3.0, 4.0, 5.0, 6.0)
+
+
+@pytest.mark.parametrize("src, copyouts, drop, expected", [
+    # s and the index i are written by the region and read by no CPU code
+    # afterwards: no copyout, the teardown flush carries them out
+    ("float s = 0; int i = 0; for (i = 0; i < 4; i++) { s = s + i; }",
+     set(), False, {"s": 6.0, "i": 4.0}),
+    # with its copyout dropped, x is device-fresh until the host overwrites it
+    ("float x = 1; int i = 0; for (i = 0; i < 4; i++) { x = x * 2.0; } x = 5.0;",
+     {"x"}, True, {"x": 5.0, "i": 4.0}),
+    # the copyout makes x host-current; the later host write is newest
+    ("float x = 1; int i = 0; for (i = 0; i < 4; i++) { x = x * 2.0; } x = x + 1.0;",
+     {"x"}, False, {"x": 17.0, "i": 4.0}),
+], ids=["unread-result-flushed", "host-write-after-region",
+        "host-write-after-copyout"])
+def test_teardown_flush_copies_out_exactly_the_device_fresh(src, copyouts, drop,
+                                                            expected):
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((1,))
+    plan = plan_transfers(ast, loops, pattern)
+    assert {op.var for op in plan.ops if op.direction == DEVICE_TO_HOST} == copyouts
+    if drop:
+        plan = TransferPlan(tuple(op for op in plan.ops
+                                  if op.direction != DEVICE_TO_HOST))
+    sim = simulate_with_plan(ast, loops, pattern, plan)
+    assert sim.outputs == interpret(ast) == expected
+
+
+def load_generator():
+    """perfbench/corpus.py, the benchmark's seeded program generator."""
+    path = CORPUS.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generated_programs_two_space_equals_interpretation():
+    generator = load_generator()
+    checked = 0
+    for program in generator.generate("sim-search", 1):
+        ast = parse_program(program.source)
+        loops = extract_loops(ast)
+        baseline = interpret(ast)
+        assert baseline == program.expected_outputs(), program.name
+        rng = random.Random(program.name)
+        for _ in range(8):
+            pattern = OffloadPattern(tuple(generator.random_antichain(program, rng)))
+            for hoist in (True, False):
+                plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+                sim = simulate_with_plan(ast, loops, pattern, plan)
+                assert sim.outputs == baseline, (program.name,
+                                                 pattern.as_string(), hoist)
+                checked += 1
+    assert checked == 128
