@@ -28,7 +28,7 @@ from .astnodes import (
     children,
     walk,
 )
-from .interp import Env, EvalError, eval_expr
+from .interp import EvalError, eval_expr
 
 
 @dataclass(frozen=True)
@@ -191,21 +191,21 @@ def _index_written(loop: ForLoop) -> bool:
     return loop.var in assigned or loop.var in control
 
 
-def _single_assignment_constants(ast: Program) -> Env:
+def _single_assignment_constants(ast: Program) -> dict:
     """Store of the variables never assigned anywhere, folded from their
     declaration initializer (default 0 for scalars without one)."""
     _, assigned, control = accesses(ast)
-    consts = Env()
+    consts: dict = {}
     for item in ast.items:
         if (isinstance(item, VarDecl) and not item.is_array
                 and item.name not in assigned and item.name not in control):
             value = 0.0 if item.init is None else _fold(item.init, consts)
             if value is not None:
-                consts.write(item.name, value)
+                consts[item.name] = value
     return consts
 
 
-def _fold(expr, consts: Env) -> float | None:
+def _fold(expr, consts: dict) -> float | None:
     """The expression's value over the constants; None when it reads
     anything else (a KeyError) or cannot be evaluated."""
     try:

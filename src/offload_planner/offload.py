@@ -34,9 +34,10 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 from .minic.astnodes import Block, ForLoop, Program, VarDecl, accesses, children
-from .minic.interp import Env, EvalError, Executor
+from .minic.interp import POISON, Machine, TwoSpaceError
 from .minic.loops import LoopTable
 
 HOST_TO_DEVICE = "host_to_device"
@@ -265,119 +266,11 @@ def strip_pragmas(text: str) -> str:
 
 # -- two-memory-space execution -------------------------------------------
 
-class TwoSpaceError(EvalError):
-    """A device-side read hit a value that was never transferred or computed."""
-
-
-_POISON = object()
-
-
-class _HostStore(Env):
-    """Host memory, and the device-fresh set: device writes add to it, host
-    writes and transfers remove from it, the teardown flush copies it out.
-    Reading a cell that a copy from the device left untransferred raises."""
-
-    def __init__(self):
-        super().__init__()
-        self.device_fresh: set = set()
-
-    def write(self, name, value):
-        self.values[name] = value
-        self.device_fresh.discard(name)
-
-    def write_elem(self, name, idx, value):
-        self.values[name][idx] = value
-        self.device_fresh.discard(name)
-
-    def read_elem(self, name, idx):
-        value = self.values[name][idx]
-        if value is _POISON:
-            raise TwoSpaceError(
-                f"host read of '{name}[{idx}]', which was never transferred")
-        return value
-
-
-class _DeviceStore(Env):
-    """Device memory: a variable materializes on its first transfer or kernel
-    write; reading one it never received raises. Writes mark it device-fresh,
-    so the teardown flush carries out values no copyout was planned for."""
-
-    def __init__(self, host: _HostStore):
-        super().__init__()
-        self.host = host
-
-    def read(self, name):
-        if name not in self.values:
-            raise TwoSpaceError(f"device read of '{name}' before any transfer")
-        return self.values[name]
-
-    def write(self, name, value):
-        self.values[name] = value
-        self.host.device_fresh.add(name)
-
-    def read_elem(self, name, idx):
-        value = self.read(name)[idx]
-        if value is _POISON:
-            raise TwoSpaceError(
-                f"device read of '{name}[{idx}]' before any transfer")
-        return value
-
-    def write_elem(self, name, idx, value):
-        if name not in self.values:
-            self.values[name] = [_POISON] * self.host.array_len(name)
-        self.values[name][idx] = value
-        self.host.device_fresh.add(name)
-
-    def array_len(self, name):
-        return self.host.array_len(name)
-
-
 @dataclass
 class SimResult:
     outputs: dict
     op_counts: dict
     total_transfers: int
-
-
-class _OffloadExecutor(Executor):
-    """Runs regions on the device store, all else on the host store."""
-
-    def __init__(self, plan: TransferPlan, regions: set):
-        self.host = _HostStore()
-        self.device = _DeviceStore(self.host)
-        super().__init__(self.host)
-        self.regions = regions
-        self.spaces = {HOST_TO_DEVICE: (self.host, self.device),
-                       DEVICE_TO_HOST: (self.device, self.host)}
-        self.op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
-        self.anchored: dict = {}    # (anchor loop, position) -> ops in plan order
-        for op in plan.ops:
-            self.anchored.setdefault((op.anchor_loop, op.position), []).append(op)
-
-    def _copy(self, source: Env, target: Env, name: str):
-        value = source.values[name]
-        target.values[name] = list(value) if isinstance(value, list) else value
-        self.host.device_fresh.discard(name)
-
-    def _fire(self, loop_id: int, position: str):
-        for op in self.anchored.get((loop_id, position), ()):
-            self._copy(*self.spaces[op.direction], op.var)
-            self.op_counts[op] += 1
-
-    def enter_loop(self, loop: ForLoop):
-        self._fire(loop.node_id, "before")
-        if loop.node_id in self.regions:
-            self.env = self.device
-
-    def exit_loop(self, loop: ForLoop):
-        if loop.node_id in self.regions:
-            self.env = self.host
-        self._fire(loop.node_id, "after")
-
-    def run_program(self, ast: Program):
-        super().run_program(ast)
-        for name in sorted(self.host.device_fresh):  # the teardown flush
-            self._copy(*self.spaces[DEVICE_TO_HOST], name)
 
 
 def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
@@ -388,14 +281,26 @@ def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     reason = validate_pattern(pattern, loops)
     if reason is not None:
         raise InvalidPattern(reason)
-    executor = _OffloadExecutor(plan, set(offloaded_ids(pattern, loops)))
-    executor.run_program(ast)
-    outputs = executor.host.final_values(ast)
+    op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
+    hooks: dict = {}  # (anchor loop, position) -> transfers in plan order
+
+    def fire(op: TransferOp):
+        machine.transfer(op.var, op.direction == HOST_TO_DEVICE)
+        op_counts[op] += 1
+
+    for op in plan.ops:
+        hooks.setdefault((op.anchor_loop, op.position), []).append(partial(fire, op))
+    roots = [loops.nodes[lid] for lid in offloaded_ids(pattern, loops)]
+    machine = Machine(roots=roots, hooks=hooks)
+    machine.run(ast)
+    for name in sorted(machine.fresh):  # the teardown flush
+        machine.transfer(name, to_device=False)
+    outputs = machine.outputs(ast)
     for name, value in outputs.items():
-        if isinstance(value, tuple) and any(cell is _POISON for cell in value):
+        if isinstance(value, tuple) and any(cell is POISON for cell in value):
             raise TwoSpaceError(
                 f"'{name}' holds untransferred device garbage at exit")
-    return SimResult(outputs, executor.op_counts, sum(executor.op_counts.values()))
+    return SimResult(outputs, op_counts, sum(op_counts.values()))
 
 
 # -- pattern file io --------------------------------------------------------

@@ -330,3 +330,32 @@ def test_no_valid_measurement_exits_2_before_planning(workdir, capsys):
                    "--ga", ga_spec, "-o", workdir / "searched") == 2
     assert message in capsys.readouterr().err
     assert not (workdir / "searched" / "pattern.json").exists()
+
+
+ZERO_TRIP = """int n = 0;
+float x;
+float y;
+int i = 0;
+int j = 0;
+for (i = 0; i < 4; i++) { for (j = 0; j < n; j++) { x = 1.0; } }
+y = x;
+"""
+
+
+def test_verify_reports_copyout_the_device_never_received_as_failed_diff(workdir, capsys):
+    # x's only write sits in a loop that runs zero times, so the region's
+    # copyout of x finds no device value
+    (workdir / "zero_trip.mc").write_text(ZERO_TRIP)
+    (workdir / "zero_trip_tests.json").write_text(json.dumps([{
+        "name": "zero-trip", "kind": "performance", "source": "zero_trip.mc",
+        "baseline": "zero_trip.mc", "pattern": [1]}]))
+    assert run_cli("plan", "--measure", "10,5", "--price-cpu", "1000",
+                   "--price-dev", "4000", "--budget", "10000", "-o", workdir / "p") == 0
+    assert run_cli("verify", "--plan", workdir / "p" / "plan.json",
+                   "--tests", workdir / "zero_trip_tests.json",
+                   "--registry", workdir / "g3_registry.json",
+                   "-o", workdir / "v") == 1
+    (row,) = json.loads((workdir / "v" / "report.json").read_text())["performance"]
+    assert not row["diff_passed"]
+    assert row["note"] == "copyout of 'x', which the device never received"
+    assert "error:" not in capsys.readouterr().err

@@ -87,6 +87,11 @@ CASES = {
         PARTIAL_WRITE,
         (1,), False, None,
         "'a' holds untransferred device garbage at exit", TwoSpaceError),
+    "copyout-of-a-variable-the-device-never-received": (
+        "int n = 0; float x; float y; int i = 0; int j = 0;\n"
+        "for (i = 0; i < 4; i++) { for (j = 0; j < n; j++) { x = 1.0; } }\ny = x;",
+        (1,), False, None,
+        "copyout of 'x', which the device never received", TwoSpaceError),
 }
 
 

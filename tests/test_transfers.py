@@ -1,9 +1,9 @@
 """Transfer-plan tests.
 
-The trace oracle executes the AST with instrumented loop hooks and counts
-rule-firing crossings per dynamic region execution (a host value consumed
-by the region, a region write consumed afterward), independently of the
-static planner it checks.
+The trace oracle executes the AST with instrumented loop hooks and memory,
+and counts rule-firing crossings per dynamic region execution (a host value
+consumed by the region, a region write consumed afterward), independently
+of the static planner it checks.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from offload_planner.minic import extract_loops, parse_program
 from offload_planner.minic.astnodes import VarDecl
-from offload_planner.minic.interp import Env, Executor
+from offload_planner.minic.interp import Machine
 from offload_planner.offload import (
     DEVICE_TO_HOST,
     HOST_TO_DEVICE,
@@ -28,62 +28,69 @@ from offload_planner.offload import (
 from conftest import corpus_programs, read_corpus
 
 
-class TracingEnv(Env):
+class TracingStore(dict):
+    """Host memory that records, per region execution, each variable's
+    first access kind. An array is handed out wrapped, so that reading and
+    writing its cells are told apart."""
+
     def __init__(self):
         super().__init__()
-        self.in_region = False
         self.record = None   # per-execution {var: first access kind}
         self.log = []        # finished per-execution records
 
     def note(self, name, kind):
-        if self.in_region and name not in self.record:
+        if self.record is not None and name not in self.record:
             self.record[name] = kind
 
-    def read(self, name):
+    def __getitem__(self, name):
+        value = super().__getitem__(name)
+        if isinstance(value, list):
+            return TracedCells(self, name, value)
         self.note(name, "read")
-        return super().read(name)
+        return value
 
-    def write(self, name, value):
+    def __setitem__(self, name, value):
         self.note(name, "write")
-        super().write(name, value)
+        super().__setitem__(name, value)
 
-    def read_elem(self, name, idx):
-        self.note(name, "read")
-        return super().read_elem(name, idx)
+    def enter_region(self):
+        self.record = {}
 
-    def write_elem(self, name, idx, value):
-        self.note(name, "write")
-        super().write_elem(name, idx, value)
+    def exit_region(self):
+        self.log.append(self.record)
+        self.record = None
 
 
-class TracingExecutor(Executor):
-    def __init__(self, env, region_roots):
-        super().__init__(env)
-        self.region_roots = region_roots
+class TracedCells:
+    def __init__(self, store, name, cells):
+        self.store, self.name, self.cells = store, name, cells
 
-    def enter_loop(self, loop):
-        if loop.node_id in self.region_roots:
-            self.env.in_region = True
-            self.env.record = {}
+    def __getitem__(self, idx):
+        self.store.note(self.name, "read")
+        return self.cells[idx]
 
-    def exit_loop(self, loop):
-        if loop.node_id in self.region_roots:
-            self.env.log.append(dict(self.env.record))
-            self.env.in_region = False
-            self.env.record = None
+    def __setitem__(self, idx, value):
+        self.store.note(self.name, "write")
+        self.cells[idx] = value
 
 
 def trace_crossings(ast, region_roots):
     """var -> number of region executions whose first access was a read:
-    the per-execution host-to-device demand an unbatched plan must satisfy."""
-    env = TracingEnv()
-    TracingExecutor(env, region_roots).run_program(ast)
+    the per-execution host-to-device demand an unbatched plan must satisfy.
+    The whole program runs plainly in the traced host memory; the loop
+    hooks open and close a record around each region root."""
+    store = TracingStore()
+    hooks = {}
+    for root in region_roots:
+        hooks[root, "before"] = [store.enter_region]
+        hooks[root, "after"] = [store.exit_region]
+    Machine(host=store, hooks=hooks).run(ast)
     demand = {}
-    for record in env.log:
+    for record in store.log:
         for name, kind in record.items():
             if kind == "read":
                 demand[name] = demand.get(name, 0) + 1
-    return demand, len(env.log)
+    return demand, len(store.log)
 
 
 def setup(name):
