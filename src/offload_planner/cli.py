@@ -52,6 +52,7 @@ from .planner import (
     PriceBook,
     compute_ratio,
     plan_amount,
+    plan_device_bound,
 )
 from .verify import ConfigError, load_registry, load_tests, run_verification
 
@@ -218,10 +219,17 @@ def stage_search(ast, loops: LoopTable, costs: CostAnnotations | None,
 
 def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
                outdir: Path) -> Allocation:
-    ratio = compute_ratio(t_cpu, t_dev)
-    allocation = plan_amount(ratio, prices, budget)
-    ratio_json = (None if isinstance(ratio, CpuOnly)
-                  else {"cpu": ratio.cpu, "dev": ratio.dev})
+    """Size the allocation and write plan.json. A zero CPU part with a
+    positive device part (every loop that carries work offloaded) has no
+    ratio: its ratio is recorded as 0:1 and sized by plan_device_bound."""
+    if t_cpu == 0 and t_dev > 0:
+        allocation = plan_device_bound(prices, budget)
+        ratio_json = {"cpu": 0, "dev": 1}
+    else:
+        ratio = compute_ratio(t_cpu, t_dev)
+        allocation = plan_amount(ratio, prices, budget)
+        ratio_json = (None if isinstance(ratio, CpuOnly)
+                      else {"cpu": ratio.cpu, "dev": ratio.dev})
     _write_json(outdir / "plan.json", {
         "ratio": ratio_json,
         "allocation": allocation.to_json(),

@@ -4,8 +4,8 @@ The ratio equalizes the order of the measured CPU-side and device-side
 processing times: the slower side gets proportionally more units, rounded
 half-up to an integer against the other side's single unit. The allocation
 keeps that ratio if any whole multiple of it fits the monthly budget
-(taking the largest); otherwise it searches all feasible unit pairs for
-the one closest to the ratio in log space.
+(taking the largest); otherwise it picks the feasible unit pair closest
+to the ratio in log space, scoring two device counts per CPU count.
 """
 
 from __future__ import annotations
@@ -97,6 +97,20 @@ def compute_ratio(t_cpu: float, t_dev: float) -> ResourceRatio | CpuOnly:
     return ResourceRatio(1, max(round_half_up(t_dev / t_cpu), 1))
 
 
+def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:
+    """Allocation when the measured CPU part is zero and the device part
+    positive: the device does all the measured work, so one CPU unit hosts
+    the program and the rest of the budget buys device units. There is no
+    CPU side to keep a ratio with."""
+    p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
+    dev_units = math.floor((budget - p_c) / p_g)
+    if dev_units < 1:
+        raise Infeasible(
+            f"budget {budget} cannot cover one CPU ({p_c}) plus one device "
+            f"({p_g}) unit per month")
+    return Allocation(1, dev_units, p_c + dev_units * p_g, ratio_kept=False)
+
+
 def ratio_distance(cpu_units: int, dev_units: int, ratio: ResourceRatio) -> float:
     """Log-space distance of a unit pair from the ideal ratio; 0 on it."""
     return abs(math.log((cpu_units * ratio.dev) / (dev_units * ratio.cpu)))
@@ -135,16 +149,27 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
         raise CapExceeded(
             f"{max_cpu} x {max_dev} candidate allocations exceed the "
             f"{ENUMERATION_CAP} enumeration cap")
+    # For a fixed CPU count the distance falls as the device count nears
+    # cpu_units * dev / cpu and rises past it, so only the whole counts on
+    # either side, clipped to what the budget leaves, can be best.
     best = None
     best_key = None
     for cpu_units in range(1, max_cpu + 1):
-        for dev_units in range(1, max_dev + 1):
-            cost = cpu_units * p_c + dev_units * p_g
-            if cost > budget:
-                break
+        cpu_cost = cpu_units * p_c
+        top = max(0, min(max_dev, math.floor((budget - cpu_cost) / p_g)))
+        while top >= 1 and cpu_cost + top * p_g > budget:
+            top -= 1
+        while top < max_dev and cpu_cost + (top + 1) * p_g <= budget:
+            top += 1
+        ideal = cpu_units * ratio.dev
+        for dev_units in (ideal // ratio.cpu, -(-ideal // ratio.cpu)):
+            dev_units = min(max(dev_units, 1), top)
+            if dev_units < 1:
+                continue
             key = (ratio_distance(cpu_units, dev_units, ratio),
                    -(cpu_units + dev_units), -cpu_units)
             if best_key is None or key < best_key:
                 best_key = key
-                best = Allocation(cpu_units, dev_units, cost, ratio_kept=False)
+                best = Allocation(cpu_units, dev_units, cpu_cost + dev_units * p_g,
+                                  ratio_kept=False)
     return best

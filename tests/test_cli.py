@@ -359,3 +359,39 @@ def test_verify_reports_copyout_the_device_never_received_as_failed_diff(workdir
     assert not row["diff_passed"]
     assert row["note"] == "copyout of 'x', which the device never received"
     assert "error:" not in capsys.readouterr().err
+
+
+FLAT = "".join(["float a[64];\nfloat b[64];\nfloat c[64];\nfloat d[64];\nint i = 0;\n",
+                "for (i = 0; i < 64; i++) { a[i] = i * 0.5; }\n",
+                "for (i = 0; i < 64; i++) { b[i] = a[i] + 1.0; }\n",
+                "for (i = 0; i < 64; i++) { c[i] = b[i] * 2.0; }\n",
+                "for (i = 0; i < 64; i++) { d[i] = c[i] - a[i]; }\n"])
+
+
+def test_run_all_with_zero_cpu_part_buys_one_cpu_unit(workdir):
+    # every loop carries work, so the best pattern offloads all four and
+    # the measured CPU part is 0
+    (workdir / "flat.mc").write_text(FLAT)
+    (workdir / "flat_costs.json").write_text(json.dumps({"default_work": 100000}))
+    config = json.loads((workdir / "g3_config.json").read_text())
+    config.update(source="flat.mc", costs="flat_costs.json", ga={"seed": 1})
+    (workdir / "g3_tests.json").write_text(json.dumps([
+        {"name": "diff", "kind": "performance", "source": "flat.mc",
+         "baseline": "flat.mc", "pattern": [1, 1, 1, 1]}]))
+    (workdir / "flat_config.json").write_text(json.dumps(config))
+    assert run_cli("run-all", "--config", workdir / "flat_config.json") == 0
+    plan = json.loads((workdir / "out" / "plan.json").read_text())
+    assert plan["inputs"]["t_cpu"] == 0.0 and plan["inputs"]["t_dev"] > 0
+    assert plan["ratio"] == {"cpu": 0, "dev": 1}
+    assert plan["allocation"] == {"cpu_units": 1, "dev_units": 3,
+                                  "monthly_cost": 13000.0, "ratio_kept": False}
+
+
+def test_plan_with_zero_cpu_part_needs_one_unit_of_each(tmp_path, capsys):
+    assert run_cli("plan", "--measure", "0,5", "--price-cpu", "1000",
+                   "--price-dev", "4000", "--budget", "4999", "-o", tmp_path) == 2
+    assert "Infeasible" in capsys.readouterr().err
+    assert run_cli("plan", "--measure", "0,5", "--price-cpu", "1000",
+                   "--price-dev", "4000", "--budget", "5000", "-o", tmp_path) == 0
+    allocation = json.loads((tmp_path / "plan.json").read_text())["allocation"]
+    assert (allocation["cpu_units"], allocation["dev_units"]) == (1, 1)

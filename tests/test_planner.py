@@ -1,6 +1,7 @@
 """Resource ratio and allocation tests, including exhaustive-enumeration
 oracle equivalence and the balance/scale-invariance properties."""
 
+import math
 import random
 
 import pytest
@@ -181,6 +182,64 @@ def test_balance_property():
         quotient = scaled_cpu / scaled_dev
         assert 2.0 / 3.0 - 1e-12 <= quotient <= 1.5 + 1e-12, (t_cpu, t_dev)
         checked += 1
+
+
+def grid_fallback(ratio, prices, budget):
+    """Every feasible (cpu, dev) pair under the fallback's key: the full
+    grid scan the fallback replaced."""
+    p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
+    max_cpu = math.floor((budget - p_g) / p_c)
+    max_dev = math.floor((budget - p_c) / p_g)
+    best = best_key = None
+    for c in range(1, max_cpu + 1):
+        for g in range(1, max_dev + 1):
+            cost = c * p_c + g * p_g
+            if cost > budget:
+                break
+            key = (ratio_distance(c, g, ratio), -(c + g), -c)
+            if best_key is None or key < best_key:
+                best_key, best = key, Allocation(c, g, cost, ratio_kept=False)
+    return best
+
+
+def test_fallback_matches_grid_scan_randomized():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 400:
+        cpu, dev = rng.randint(1, 40), rng.randint(1, 40)
+        if math.gcd(cpu, dev) != 1:
+            continue
+        ratio = ResourceRatio(cpu, dev)
+        prices = PriceBook(round(rng.uniform(1, 60), rng.choice((0, 2))),
+                           round(rng.uniform(1, 60), rng.choice((0, 2))))
+        bundle = cpu * prices.cpu_unit_price + dev * prices.dev_unit_price
+        low = prices.cpu_unit_price + prices.dev_unit_price
+        # a budget exactly at some pair's cost, or just below it, is where
+        # rounding in budget / price can misjudge the last affordable unit
+        edge = (rng.randint(1, cpu) * prices.cpu_unit_price
+                + rng.randint(1, dev) * prices.dev_unit_price)
+        budget = rng.choice((low, rng.uniform(low, bundle), edge,
+                             math.nextafter(edge, 0.0)))
+        if not low <= budget < bundle:
+            continue
+        if (budget / prices.cpu_unit_price) * (budget / prices.dev_unit_price) > 60000:
+            continue
+        assert plan_amount(ratio, prices, budget) == grid_fallback(ratio, prices, budget), (
+            ratio, prices, budget)
+        checked += 1
+
+
+@pytest.mark.parametrize("ratio, p_c, p_g, budget", [
+    # budget / price rounds below the last affordable device count
+    ((25, 12), 45.1, 54.61, 913.96), ((7, 1), 11.6, 6.7, 29.9),
+    ((40, 1), 9.567, 39.121, 326.131),
+    # budget / price rounds up to a device count the budget cannot buy
+    ((9, 19), 51.4, 34.0, 238.79999999999998), ((3, 7), 23.867, 15.0, 122.734),
+    ((19, 20), 20.729, 32.511, 937.591),
+])
+def test_fallback_matches_grid_scan_at_budget_edges(ratio, p_c, p_g, budget):
+    ratio, prices = ResourceRatio(*ratio), PriceBook(p_c, p_g)
+    assert plan_amount(ratio, prices, budget) == grid_fallback(ratio, prices, budget)
 
 
 def test_fallback_enumeration_cap():
