@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 from .astnodes import (
     Assign,
@@ -82,7 +83,8 @@ class Machine:
     def __init__(self, iteration_cap: int = ITERATION_CAP, host: dict | None = None,
                  roots=(), hooks: dict | None = None):
         """The loops ``roots`` run on the device. ``hooks`` maps (loop id,
-        "before" | "after") to callables run on the loop's entry or exit."""
+        "before" | "after") to callables that take the machine and run on
+        the loop's entry or exit."""
         self.host = {} if host is None else host
         self.device = _DeviceMemory()
         self.fresh: set = set()
@@ -113,8 +115,6 @@ class Machine:
         """Top-level variables of ``ast`` in declaration order, arrays as tuples."""
         return {item.name: tuple(self.host[item.name]) if item.is_array
                 else self.host[item.name] for item in ast.items if isinstance(item, VarDecl)}
-
-    # -- closures ------------------------------------------------------------
 
     def space(self, dev: bool) -> tuple:
         """(memory, mark) of a space; ``mark`` records a write there."""
@@ -162,8 +162,8 @@ class Machine:
         dev = dev or loop.node_id in self.roots
         memory, mark = self.space(dev)
         name, test, advance = loop.var, loop.cond_var, loop.step_var
-        enter, leave = (_sequence(list(self.hooks.get((loop.node_id, position), ())))
-                        for position in ("before", "after"))
+        enter, leave = (_sequence([partial(hook, self) for hook in self.hooks.get(
+            (loop.node_id, position), ())]) for position in ("before", "after"))
         start, bound = self.expr(loop.init, dev), self.expr(loop.bound, dev)
         body, step, strict = self.stmt(loop.body, dev), float(loop.step), loop.op == "<"
         ticks, cap = self.ticks, self.iteration_cap

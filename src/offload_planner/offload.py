@@ -22,11 +22,14 @@ Blocking accesses include loop-header index updates: LoopInfo.defs excludes
 loop control writes, but hoisting a copyin past a header that rewrites the
 transferred variable every iteration would ship a stale value.
 
-Two-space execution runs CPU code on a host store and each region on a
-device store. A device write marks a variable device-fresh; a host write or
-a transfer clears the mark. The teardown flush copies out exactly the
-device-fresh variables: region-written loop indices and results that no CPU
-code touches later get no copyout, yet are program outputs.
+Two-space execution compiles the program once per run with the
+interpreter's closure compiler (minic.interp.Machine): CPU code for host
+memory, each region's subtree for device memory, and the plan's transfers
+into the entry and exit of their anchor loops. A device write marks a
+variable device-fresh; a host write or a transfer clears the mark. The
+teardown flush copies out exactly the device-fresh variables:
+region-written loop indices and results that no CPU code touches later get
+no copyout, yet are program outputs.
 """
 
 from __future__ import annotations
@@ -284,7 +287,7 @@ def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
     hooks: dict = {}  # (anchor loop, position) -> transfers in plan order
 
-    def fire(op: TransferOp):
+    def fire(op: TransferOp, machine: Machine):
         machine.transfer(op.var, op.direction == HOST_TO_DEVICE)
         op_counts[op] += 1
 

@@ -53,10 +53,10 @@ class TracingStore(dict):
         self.note(name, "write")
         super().__setitem__(name, value)
 
-    def enter_region(self):
+    def enter_region(self, machine):
         self.record = {}
 
-    def exit_region(self):
+    def exit_region(self, machine):
         self.log.append(self.record)
         self.record = None
 
