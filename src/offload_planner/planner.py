@@ -103,12 +103,25 @@ def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:
     the program and the rest of the budget buys device units. There is no
     CPU side to keep a ratio with."""
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
-    dev_units = math.floor((budget - p_c) / p_g)
+    dev_units = _affordable(budget, p_c, p_g, math.inf)
     if dev_units < 1:
         raise Infeasible(
             f"budget {budget} cannot cover one CPU ({p_c}) plus one device "
             f"({p_g}) unit per month")
     return Allocation(1, dev_units, p_c + dev_units * p_g, ratio_kept=False)
+
+
+def _affordable(budget: float, spent: float, price: float, limit) -> int:
+    """Most units of ``price`` (at most ``limit``) that fit in ``budget``
+    beside ``spent``, by the test spent + units * price <= budget. The
+    quotient (budget - spent) / price can round to one unit too many or
+    too few, so it is corrected by that test."""
+    units = max(0, min(limit, math.floor((budget - spent) / price)))
+    while units >= 1 and spent + units * price > budget:
+        units -= 1
+    while units < limit and spent + (units + 1) * price <= budget:
+        units += 1
+    return units
 
 
 def ratio_distance(cpu_units: int, dev_units: int, ratio: ResourceRatio) -> float:
@@ -156,11 +169,7 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
     best_key = None
     for cpu_units in range(1, max_cpu + 1):
         cpu_cost = cpu_units * p_c
-        top = max(0, min(max_dev, math.floor((budget - cpu_cost) / p_g)))
-        while top >= 1 and cpu_cost + top * p_g > budget:
-            top -= 1
-        while top < max_dev and cpu_cost + (top + 1) * p_g <= budget:
-            top += 1
+        top = _affordable(budget, cpu_cost, p_g, max_dev)
         ideal = cpu_units * ratio.dev
         for dev_units in (ideal // ratio.cpu, -(-ideal // ratio.cpu)):
             dev_units = min(max(dev_units, 1), top)

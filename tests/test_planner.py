@@ -17,6 +17,7 @@ from offload_planner.planner import (
     ResourceRatio,
     compute_ratio,
     plan_amount,
+    plan_device_bound,
     ratio_distance,
     round_half_up,
 )
@@ -240,6 +241,19 @@ def test_fallback_matches_grid_scan_randomized():
 def test_fallback_matches_grid_scan_at_budget_edges(ratio, p_c, p_g, budget):
     ratio, prices = ResourceRatio(*ratio), PriceBook(p_c, p_g)
     assert plan_amount(ratio, prices, budget) == grid_fallback(ratio, prices, budget)
+
+
+@pytest.mark.parametrize("p_c, p_g, budget, dev_units", [
+    (1000.0, 4000.0, 13000.0, 3),
+    (35.69, 42.85, 592.74, 13),      # the quotient rounds one unit low
+    (37.5, 36.34, 364.56, 8),        # the quotient rounds one unit high
+])
+def test_device_bound_buys_one_cpu_and_the_devices_the_rest_affords(p_c, p_g, budget,
+                                                                   dev_units):
+    alloc = plan_device_bound(PriceBook(p_c, p_g), budget)
+    assert (alloc.cpu_units, alloc.dev_units, alloc.ratio_kept) == (1, dev_units, False)
+    assert alloc.monthly_cost == p_c + dev_units * p_g <= budget
+    assert p_c + (dev_units + 1) * p_g > budget
 
 
 def test_fallback_enumeration_cap():
