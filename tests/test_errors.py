@@ -13,6 +13,7 @@ checks bounds before device presence.
 import pytest
 
 from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
+from offload_planner.minic.interp import Machine
 from offload_planner.offload import (
     HOST_TO_DEVICE,
     OffloadPattern,
@@ -147,3 +148,16 @@ def test_iteration_cap_message():
     with pytest.raises(EvalError) as info:
         interpret(parse_program(src), iteration_cap=1000)
     assert str(info.value) == "2:1: iteration cap (1000) exceeded"
+
+
+def test_iteration_cap_counts_the_loops_of_both_spaces():
+    # three host iterations, then three in a region run on the device
+    src = ("float s; int i = 0; int j = 0;\n"
+           "for (i = 0; i < 3; i++) { s = i; }\nfor (j = 0; j < 3; j++) { s = j; }")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    region = [loops.nodes[loops.infos[1].loop_id]]
+    Machine(iteration_cap=6, roots=region).run(ast)
+    with pytest.raises(EvalError) as info:
+        Machine(iteration_cap=5, roots=region).run(ast)
+    assert str(info.value) == "3:1: iteration cap (5) exceeded"
