@@ -57,7 +57,6 @@ class Measurement:
     t_cpu_part: float | _InfiniteTime
     t_dev_part: float | _InfiniteTime
     valid: bool
-    outputs: dict | None = None
     note: str | None = None
 
     @staticmethod
@@ -306,7 +305,9 @@ def ulp_distance(x: float, y: float) -> int:
 
 
 def compare_results(actual: dict, baseline: dict, tol: ToleranceSpec) -> DiffVerdict:
-    """Element-wise comparison of two program outputs under the tolerance."""
+    """Element-wise comparison of two program outputs under the tolerance.
+    Values that compare equal, or are both NaN, deviate by 0; any other
+    pair with an infinite or NaN side fails with deviation inf."""
     if set(actual) != set(baseline):
         raise ShapeMismatch(
             f"variable sets differ: {sorted(set(actual) ^ set(baseline))}")
@@ -323,7 +324,11 @@ def compare_results(actual: dict, baseline: dict, tol: ToleranceSpec) -> DiffVer
                 f"'{name}': length {len(act_seq)} vs {len(base_seq)}")
         var_worst = 0.0
         for x, y in zip(act_seq, base_seq):
-            if tol.mode == "ulp":
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                dev, ok = math.inf, False
+            elif tol.mode == "ulp":
                 dev = float(ulp_distance(x, y))
                 ok = dev <= tol.max_ulps
             else:

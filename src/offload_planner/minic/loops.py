@@ -1,4 +1,5 @@
-"""Loop extraction: nesting, trip counts, offload eligibility, def/use sets.
+"""Loop extraction: nesting, trip counts, offload eligibility, and the
+access facts transfer planning needs, all from one bottom-up visit.
 
 Eligibility is decided by static rules: (a) canonical header, (b) bounds
 statically evaluable over single-assignment constants with a positive trip
@@ -9,6 +10,16 @@ defs/uses cover the full loop subtree. Loop-header index updates do not
 count as defs (the header is loop control, not a data write), but every
 header read (init/bound operands, condition and step variables) counts as
 a use, so a loop's own index is always in its uses.
+
+exposed holds the names the loop reads before it writes them, the values
+a kernel consumes from host memory. MiniC has no branches, so the order of
+statements decides this exactly; a nested loop whose static trip count is
+unknown may run zero times, so its writes do not hide later reads.
+
+after is the (reads, writes) of CPU code in the loop's scope that can run
+after the loop: for a nested loop the rest of its parent, header included
+(the next parent iteration); for a top-level loop the statements that
+follow it. Header index updates count as writes.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from .astnodes import (
     Program,
     VarDecl,
     accesses,
-    children,
     walk,
 )
 from .interp import EvalError, eval_expr
@@ -41,18 +51,18 @@ class LoopInfo:
     ineligibility_reason: str | None
     defs: frozenset
     uses: frozenset
+    exposed: frozenset
+    after: tuple              # (reads, writes), each a frozenset
 
 
 class LoopTable:
     """All for-loops of a program in source order, with indexes of the loop
-    tree: each loop's ancestors, subtree, entry count and containers."""
+    tree: each loop's ancestors, subtree and entry count."""
 
-    def __init__(self, infos: list[LoopInfo], nodes: dict[int, ForLoop],
-                 chains: dict[int, tuple]):
+    def __init__(self, infos: list[LoopInfo], nodes: dict[int, ForLoop]):
         self.infos = tuple(infos)
         self.nodes = nodes
         self.by_id = {info.loop_id: info for info in infos}
-        self._chains = chains
         self._ancestors: dict[int, tuple] = {}
         self._subtree: dict[int, list] = {}
         self._exec_counts: dict[int, int | None] = {}
@@ -99,11 +109,6 @@ class LoopTable:
         trip counts, None when one of them is unknown."""
         return self._exec_counts[loop_id]
 
-    def chain(self, loop_id: int) -> tuple:
-        """Containers (Program, Blocks, enclosing loops) from the program
-        root down to the loop, the loop excluded."""
-        return self._chains[loop_id]
-
     def to_json(self) -> list[dict]:
         return [
             {
@@ -124,58 +129,91 @@ class LoopTable:
 
 
 def extract_loops(ast: Program) -> LoopTable:
+    """The loop table of ``ast`` from one bottom-up visit. Blocks are
+    flattened into their scope, the program or a loop body, and each
+    statement is summarised as (reads, assigned, writes, exposed,
+    must-written); writes adds header index updates to assigned."""
     consts = _single_assignment_constants(ast)
     infos = []
     nodes = {}
-    chains = {}
+    pending: dict[int, dict] = {}  # loop id -> LoopInfo fields but after
 
-    def visit(container, chain, parent_id, depth):
-        chain = chain + (container,)
-        for child in children(container):
-            if isinstance(child, ForLoop):
-                nodes[child.node_id] = child
-                chains[child.node_id] = chain
-                infos.append(_analyze(child, parent_id, depth, consts))
-                visit(child, chain, child.node_id, depth + 1)
-            elif isinstance(child, Block):
-                visit(child, chain, parent_id, depth)
+    def scope(items, parent_id, depth, header):
+        """Summary of a scope, recording the loops in it. ``header`` is the
+        (reads, writes) of the loop whose body it is, None at top level."""
+        stmts = list(_flatten(items))
+        sums = [loop(s, parent_id, depth) if isinstance(s, ForLoop) else _plain(s)
+                for s in stmts]
+        later = [(set(), set())]  # (reads, writes) after each statement
+        for reads, _, writes, _, _ in reversed(sums[1:]):
+            later.append((later[-1][0] | reads, later[-1][1] | writes))
+        reads, assigned, writes, exposed, must = set(), set(), set(), set(), set()
+        for stmt, summary, (after_reads, after_writes) in zip(stmts, sums, reversed(later)):
+            if isinstance(stmt, ForLoop):
+                if header is not None:  # the header and what precedes rerun
+                    after_reads = after_reads | header[0] | reads
+                    after_writes = after_writes | header[1] | writes
+                infos.append(LoopInfo(**pending.pop(stmt.node_id), after=(
+                    frozenset(after_reads), frozenset(after_writes))))
+            s_reads, s_assigned, s_writes, s_exposed, s_must = summary
+            reads |= s_reads
+            assigned |= s_assigned
+            writes |= s_writes
+            exposed |= s_exposed - must
+            must |= s_must
+        return reads, assigned, writes, exposed, must
 
-    visit(ast, (), None, 0)
+    def loop(node: ForLoop, parent_id, depth):
+        """The loop's summary. Its header reads init, writes the index,
+        reads the bound, condition and step variables, then steps."""
+        nodes[node.node_id] = node
+        init_reads = accesses(node.init)[0]
+        test_reads = accesses(node.bound)[0] | {node.cond_var, node.step_var}
+        header_reads = init_reads | test_reads
+        header_writes = {node.var, node.step_var}
+        reads, assigned, writes, exposed, must = scope(
+            (node.body,), node.node_id, depth + 1, (header_reads, header_writes))
+        trip = static_trip_count(node, consts)
+        reason = None
+        if not node.canonical:
+            reason = (f"non-canonical header: controls ({node.var}, "
+                      f"{node.cond_var}, {node.step_var}) differ")
+        elif trip is None:
+            reason = "bounds not statically evaluable or trip count not positive"
+        else:
+            unknown = _first_unknown_call(node)
+            if unknown is not None:
+                reason = f"unknown call '{unknown}' in loop body"
+            elif node.var in writes:  # a nested header re-driving it, too
+                reason = f"index variable '{node.var}' assigned in loop body"
+        exposed = init_reads | (test_reads - {node.var}) | (exposed - header_writes)
+        pending[node.node_id] = dict(
+            loop_id=node.node_id, parent_loop=parent_id, depth=depth,
+            trip_count=trip, eligible=reason is None, ineligibility_reason=reason,
+            defs=frozenset(assigned), uses=frozenset(header_reads | reads),
+            exposed=frozenset(exposed))
+        # a body that may run zero times writes nothing for sure
+        must = header_writes | must if trip is not None else header_writes
+        return header_reads | reads, assigned, header_writes | writes, exposed, must
+
+    scope(ast.items, None, 0, None)
     infos.sort(key=lambda info: info.loop_id)  # node ids are in source order
-    return LoopTable(infos, nodes, chains)
+    return LoopTable(infos, nodes)
 
 
-def _analyze(loop: ForLoop, parent_id, depth, consts) -> LoopInfo:
-    defs, uses = def_use(loop)
-    trip = static_trip_count(loop, consts)
-    reason = None
-    if not loop.canonical:
-        reason = (f"non-canonical header: controls ({loop.var}, "
-                  f"{loop.cond_var}, {loop.step_var}) differ")
-    elif trip is None:
-        reason = "bounds not statically evaluable or trip count not positive"
-    else:
-        unknown = _first_unknown_call(loop)
-        if unknown is not None:
-            reason = f"unknown call '{unknown}' in loop body"
-        elif _index_written(loop):
-            reason = f"index variable '{loop.var}' assigned in loop body"
-    return LoopInfo(
-        loop_id=loop.node_id,
-        parent_loop=parent_id,
-        depth=depth,
-        trip_count=trip,
-        eligible=reason is None,
-        ineligibility_reason=reason,
-        defs=frozenset(defs),
-        uses=frozenset(uses),
-    )
+def _flatten(stmts):
+    for stmt in stmts:
+        if isinstance(stmt, Block):
+            yield from _flatten(stmt.body)
+        else:
+            yield stmt
 
 
-def def_use(node) -> tuple[set, set]:
-    """Exact def/use sets over a statement subtree: (assigned, reads)."""
-    reads, assigned, _ = accesses(node)
-    return assigned, reads
+def _plain(stmt) -> tuple:
+    """Summary of a loop-free statement: it reads its operands, then
+    stores."""
+    reads, assigned, _ = accesses(stmt)
+    return reads, assigned, assigned, reads, assigned
 
 
 def _first_unknown_call(loop: ForLoop) -> str | None:
@@ -183,12 +221,6 @@ def _first_unknown_call(loop: ForLoop) -> str | None:
         if isinstance(node, (Call, CallStmt)) and not node.intrinsic:
             return node.name
     return None
-
-
-def _index_written(loop: ForLoop) -> bool:
-    # a nested header re-driving the same variable also rewrites it
-    _, assigned, control = accesses(loop.body)
-    return loop.var in assigned or loop.var in control
 
 
 def _single_assignment_constants(ast: Program) -> dict:

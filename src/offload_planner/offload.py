@@ -9,7 +9,10 @@ ancestor are invalid.
 Transfer planning, per region. A region's ops depend only on the program
 and the region root (and whether hoisting is on), never on which other
 regions the pattern offloads, so each region is planned once per loop
-table and a pattern's plan is its regions' ops in loop-table order:
+table and a pattern's plan is its regions' ops in loop-table order. The
+loop table hands each loop its exposed reads and the accesses that can
+run after it (LoopInfo.exposed and .after), so planning a region costs
+O(depth x variables), with no walk of the program:
   * host-to-device (copyin) for every variable whose value flows into the
     region from outside: read in the region before the region writes it;
   * device-to-host (copyout) for every variable the region writes that CPU
@@ -39,7 +42,7 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 
-from .minic.astnodes import Block, ForLoop, Program, VarDecl, accesses, children
+from .minic.astnodes import Program, VarDecl
 from .minic.interp import POISON, Machine, TwoSpaceError
 from .minic.loops import LoopTable
 
@@ -136,96 +139,51 @@ def plan_transfers(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     if reason is not None:
         raise InvalidPattern(reason)
     memo = _REGION_OPS.setdefault(loops, {})
+    sizes = None
     ops = []
     for root in offloaded_ids(pattern, loops):
         region_ops = memo.get((root, hoist))
         if region_ops is None:
-            region_ops = memo[root, hoist] = _region_ops(ast, loops, root, hoist)
+            if sizes is None:
+                sizes = {item.name: item.byte_size for item in ast.items
+                         if isinstance(item, VarDecl)}
+            region_ops = memo[root, hoist] = _region_ops(loops, root, hoist, sizes)
         ops.extend(region_ops)
     return TransferPlan(tuple(ops))
 
 
-def _region_ops(ast: Program, loops: LoopTable, root: int, hoist: bool) -> tuple:
+def _region_ops(loops: LoopTable, root: int, hoist: bool, sizes: dict) -> tuple:
     """Copyin ops, then copyout ops, each sorted by variable, of the region
-    rooted at ``root``."""
-    decls = {item.name: item for item in ast.items if isinstance(item, VarDecl)}
-    # Walk the containers outward from the region. Each enclosing loop
-    # contributes its accesses outside the loop below it on the chain: they
-    # block hoisting past it, and CPU code makes them in later iterations.
-    # Each Program or Block contributes the statements after the chain.
-    enclosing = []      # (loop id, reads, writes), innermost first
-    later: set = set()  # names CPU code can touch after a region execution
-    inner = below = loops.nodes[root]
-    for container in reversed(loops.chain(root)):
-        if isinstance(container, ForLoop):
-            reads, assigned, control = accesses(container, skip=inner)
-            enclosing.append((container.node_id, reads, assigned | control))
-            later |= reads | assigned | control
-            inner = container
-        else:
-            items = children(container)
-            at = next(k for k, item in enumerate(items) if item is below)
-            for item in items[at + 1:]:
-                later.update(*accesses(item))
-        below = container
+    rooted at ``root``. ``sizes`` maps each variable to its byte size."""
+    chain = [root] + loops.ancestors(root)  # innermost first
+    afters = [loops.by_id[lid].after for lid in chain]
+    # CPU code can touch these after a region execution: the rest of each
+    # enclosing loop, and what follows the outermost one
+    later = set().union(*(reads | writes for reads, writes in afters))
 
     def anchor(var: str, reads_block: bool) -> int:
         """Hoist outward one enclosing loop at a time until a blocking CPU
-        access of var appears inside that loop outside the region."""
+        access of var appears inside that loop outside the loop below it."""
         at = root
         if hoist:
-            for loop_id, reads, writes in enclosing:
+            for loop_id, (reads, writes) in zip(chain[1:], afters):
                 if var in writes or (reads_block and var in reads):
                     break
                 at = loop_id
         return at
 
     ops = []
-    for var in sorted(_upward_exposed(loops.nodes[root], loops)):
+    for var in sorted(loops.by_id[root].exposed):
         at = anchor(var, reads_block=False)
-        if enclosing and at != enclosing[-1][0]:
+        if at != chain[-1]:
             later.add(var)  # refires per enclosing iteration, so copy back
         ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
-                              decls[var].byte_size, root))
+                              sizes[var], root))
     for var in sorted(loops.by_id[root].defs & later):
         at = anchor(var, reads_block=True)
         ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
-                              decls[var].byte_size, root))
+                              sizes[var], root))
     return tuple(ops)
-
-
-def _upward_exposed(region: ForLoop, loops: LoopTable) -> set:
-    """Variables read inside the region before the region writes them: the
-    values a kernel consumes from host memory.
-
-    MiniC has no branches, so a single ordered walk is exact; a nested loop
-    whose static trip count is unknown may run zero times, so its writes
-    only count when the trip is statically positive.
-    """
-    exposed: set = set()
-
-    def walk_stmt(stmt, written):
-        if isinstance(stmt, Block):
-            for inner in stmt.body:
-                walk_stmt(inner, written)
-        elif isinstance(stmt, ForLoop):
-            exposed.update(accesses(stmt.init)[0] - written)
-            written.add(stmt.var)
-            reads = accesses(stmt.bound)[0] | {stmt.cond_var, stmt.step_var}
-            exposed.update(reads - written)
-            written.add(stmt.step_var)
-            info = loops.by_id.get(stmt.node_id)
-            body_written = set(written)
-            walk_stmt(stmt.body, body_written)
-            if info is not None and info.trip_count is not None and info.trip_count >= 1:
-                written |= body_written
-        else:  # an assignment reads its operands before it stores
-            reads, assigned, _ = accesses(stmt)
-            exposed.update(reads - written)
-            written |= assigned
-
-    walk_stmt(region, set())
-    return exposed
 
 
 # -- directive emission --------------------------------------------------

@@ -103,7 +103,7 @@ def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:
     the program and the rest of the budget buys device units. There is no
     CPU side to keep a ratio with."""
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
-    dev_units = _affordable(budget, p_c, p_g, math.inf)
+    dev_units = _affordable(budget, lambda n: p_c + n * p_g, (budget - p_c) / p_g)
     if dev_units < 1:
         raise Infeasible(
             f"budget {budget} cannot cover one CPU ({p_c}) plus one device "
@@ -111,15 +111,15 @@ def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:
     return Allocation(1, dev_units, p_c + dev_units * p_g, ratio_kept=False)
 
 
-def _affordable(budget: float, spent: float, price: float, limit) -> int:
-    """Most units of ``price`` (at most ``limit``) that fit in ``budget``
-    beside ``spent``, by the test spent + units * price <= budget. The
-    quotient (budget - spent) / price can round to one unit too many or
+def _affordable(budget: float, cost, quotient: float, limit=math.inf) -> int:
+    """Most units (at most ``limit``) whose monthly ``cost(units)`` fits in
+    ``budget``, tested with the expression the Allocation reports. The
+    float ``quotient`` that estimates it can round to one unit too many or
     too few, so it is corrected by that test."""
-    units = max(0, min(limit, math.floor((budget - spent) / price)))
-    while units >= 1 and spent + units * price > budget:
+    units = max(0, min(limit, math.floor(quotient)))
+    while units >= 1 and cost(units) > budget:
         units -= 1
-    while units < limit and spent + (units + 1) * price <= budget:
+    while units < limit and cost(units + 1) <= budget:
         units += 1
     return units
 
@@ -138,26 +138,26 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
         raise Infeasible(f"budget must be positive, got {budget}")
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
     if isinstance(ratio, CpuOnly):
-        cpu_units = math.floor(budget / p_c)
+        cpu_units = _affordable(budget, lambda n: n * p_c, budget / p_c)
         if cpu_units < 1:
             raise Infeasible(
                 f"budget {budget} cannot buy one CPU unit at {p_c}/month")
         return Allocation(cpu_units, 0, cpu_units * p_c, ratio_kept=True)
 
-    bundle = ratio.cpu * p_c + ratio.dev * p_g
-    k = math.floor(budget / bundle)
+    def multiple_cost(k: int) -> float:
+        return k * ratio.cpu * p_c + k * ratio.dev * p_g
+
+    k = _affordable(budget, multiple_cost, budget / (ratio.cpu * p_c + ratio.dev * p_g))
     if k >= 1:
-        cpu_units, dev_units = k * ratio.cpu, k * ratio.dev
-        return Allocation(cpu_units, dev_units,
-                          cpu_units * p_c + dev_units * p_g, ratio_kept=True)
+        return Allocation(k * ratio.cpu, k * ratio.dev, multiple_cost(k), ratio_kept=True)
 
     if p_c + p_g > budget:
         raise Infeasible(
             f"budget {budget} cannot cover one CPU ({p_c}) plus one device "
             f"({p_g}) unit per month")
 
-    max_cpu = math.floor((budget - p_g) / p_c)
-    max_dev = math.floor((budget - p_c) / p_g)
+    max_cpu = _affordable(budget, lambda n: n * p_c + p_g, (budget - p_g) / p_c)
+    max_dev = _affordable(budget, lambda n: p_c + n * p_g, (budget - p_c) / p_g)
     if max_cpu * max_dev > ENUMERATION_CAP:
         raise CapExceeded(
             f"{max_cpu} x {max_dev} candidate allocations exceed the "
@@ -169,7 +169,8 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
     best_key = None
     for cpu_units in range(1, max_cpu + 1):
         cpu_cost = cpu_units * p_c
-        top = _affordable(budget, cpu_cost, p_g, max_dev)
+        top = _affordable(budget, lambda n: cpu_cost + n * p_g,
+                          (budget - cpu_cost) / p_g, max_dev)
         ideal = cpu_units * ratio.dev
         for dev_units in (ideal // ratio.cpu, -(-ideal // ratio.cpu)):
             dev_units = min(max(dev_units, 1), top)

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,3 +18,13 @@ def corpus_programs() -> list[Path]:
 
 def read_corpus(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
+
+
+def load_generator():
+    """perfbench/corpus.py, the benchmark's seeded program generator."""
+    path = CORPUS.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -264,6 +264,20 @@ def test_identical_outputs_pass_with_zero_deviation():
     assert verdict.passed and verdict.worst_deviation == 0.0
 
 
+@pytest.mark.parametrize("tol", [ToleranceSpec("relative"),
+                                 ToleranceSpec("absolute", atol=1e-9),
+                                 ToleranceSpec("ulp", max_ulps=1)])
+def test_non_finite_values_pass_only_when_identical(tol):
+    inf, nan = math.inf, math.nan
+    out = {"x": inf, "a": (nan, -inf, 1.0)}
+    same = compare_results(out, {"x": inf, "a": (nan, -inf, 1.0)}, tol)
+    assert same.passed and same.worst_deviation == 0.0
+    for actual, baseline in ((inf, -inf), (inf, 1.7976931348623157e308),
+                             (nan, 1.0), (1.0, nan), (nan, inf)):
+        verdict = compare_results({"x": actual}, {"x": baseline}, tol)
+        assert not verdict.passed and verdict.worst_deviation == inf, (actual, baseline)
+
+
 def test_one_ulp_example():
     baseline = {"x": 1.0}
     actual = {"x": 1.0 + 2.0**-52}

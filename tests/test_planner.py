@@ -147,22 +147,65 @@ def test_budget_safety_and_maximality():
             assert grown > budget
 
 
+def float_edge_case(rng, ratio):
+    """Prices with up to four decimals and a budget at, or one float step
+    beside, the cost of some multiple or unit pair: where budget / price
+    can round to one unit too many or too few."""
+    p_c, p_g = (max(1.0, round(rng.uniform(1, 50), rng.randint(0, 4)))
+                for _ in range(2))
+    k, c, g = rng.randint(1, 6), rng.randint(1, 30), rng.randint(1, 30)
+    edge = rng.choice((k * ratio.cpu * p_c + k * ratio.dev * p_g,
+                       c * p_c + g * p_g, c * p_c + p_g, p_c + g * p_g))
+    budget = rng.choice((edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)))
+    return PriceBook(p_c, p_g), budget
+
+
 def test_oracle_equivalence_randomized():
+    check_oracle_equivalence(lambda rng, ratio: (
+        PriceBook(float(rng.randint(1, 50)), float(rng.randint(1, 50))),
+        float(rng.randint(2, 2000))))
+
+
+def test_oracle_equivalence_at_float_budget_edges():
+    check_oracle_equivalence(float_edge_case)
+
+
+def check_oracle_equivalence(draw):
+    """plan_amount equals the grid oracle on 1000 drawn instances whose unit
+    counts stay <= 100; ``draw(rng, ratio)`` gives (prices, budget)."""
     rng = random.Random(20260810)
     checked = 0
     while checked < 1000:
         ratio = ResourceRatio(*rng.choice(
             [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (1, 5), (7, 1), (1, 9)]))
-        prices = PriceBook(float(rng.randint(1, 50)), float(rng.randint(1, 50)))
-        budget = float(rng.randint(2, 2000))
+        prices, budget = draw(rng, ratio)
         if prices.cpu_unit_price + prices.dev_unit_price > budget:
             continue
         if budget / prices.cpu_unit_price > 100 or budget / prices.dev_unit_price > 100:
             continue  # keep unit counts <= 100 as stated
         alloc = plan_amount(ratio, prices, budget)
         c, g, kept = oracle_plan(ratio, prices, budget)
-        assert (alloc.cpu_units, alloc.dev_units, alloc.ratio_kept) == (c, g, kept)
+        assert (alloc.cpu_units, alloc.dev_units, alloc.ratio_kept) == (c, g, kept), (
+            ratio, prices, budget)
+        assert alloc.monthly_cost <= budget
         checked += 1
+
+
+@pytest.mark.parametrize("ratio, p_c, p_g, budget, units", [
+    # budget / price rounds up to a count whose cost is over the budget
+    (CPU_ONLY, 48.3316, 1.0, 966.632, (19, 0)),
+    ((3, 1), 0.6188, 22.574822, 879.523992, (105, 35)),
+    # budget / price rounds below the last affordable count
+    (CPU_ONLY, 18.67, 1.0, 130.69, (7, 0)),
+    ((1, 1), 18.84101, 4.4, 302.13313, (13, 13)),
+    # the budget is p_c + p_g, yet (budget - p_g) / p_c rounds below one
+    ((7, 36), 27.0, 9.16, 36.16, (1, 1)),
+])
+def test_amount_buys_what_the_budget_affords_at_its_edges(ratio, p_c, p_g, budget, units):
+    ratio = ratio if ratio is CPU_ONLY else ResourceRatio(*ratio)
+    alloc = plan_amount(ratio, PriceBook(p_c, p_g), budget)
+    assert (alloc.cpu_units, alloc.dev_units) == units
+    assert alloc.monthly_cost <= budget
 
 
 def test_balance_property():
@@ -187,13 +230,12 @@ def test_balance_property():
 
 def grid_fallback(ratio, prices, budget):
     """Every feasible (cpu, dev) pair under the fallback's key: the full
-    grid scan the fallback replaced."""
+    grid scan the fallback replaced. Its bounds reach one past the float
+    quotients, so the cost test alone decides the last affordable unit."""
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
-    max_cpu = math.floor((budget - p_g) / p_c)
-    max_dev = math.floor((budget - p_c) / p_g)
     best = best_key = None
-    for c in range(1, max_cpu + 1):
-        for g in range(1, max_dev + 1):
+    for c in range(1, int(budget // p_c) + 2):
+        for g in range(1, int(budget // p_g) + 2):
             cost = c * p_c + g * p_g
             if cost > budget:
                 break

@@ -3,7 +3,9 @@
 The trace oracle executes the AST with instrumented loop hooks and memory,
 and counts rule-firing crossings per dynamic region execution (a host value
 consumed by the region, a region write consumed afterward), independently
-of the static planner it checks.
+of the static planner it checks. The reference planner plans one region by
+walking the AST around it, as the planner did before the loop table
+carried each loop's transfer facts.
 """
 
 import random
@@ -13,19 +15,20 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from offload_planner.minic import extract_loops, parse_program
-from offload_planner.minic.astnodes import VarDecl
+from offload_planner.minic.astnodes import Block, ForLoop, VarDecl, accesses, children
 from offload_planner.minic.interp import Machine
 from offload_planner.offload import (
     DEVICE_TO_HOST,
     HOST_TO_DEVICE,
     InvalidPattern,
     OffloadPattern,
+    TransferOp,
     offloaded_ids,
     plan_transfers,
     simulate_with_plan,
 )
 
-from conftest import corpus_programs, read_corpus
+from conftest import corpus_programs, load_generator, read_corpus
 
 
 class TracingStore(dict):
@@ -281,3 +284,144 @@ def test_concurrent_planning_matches_serial():
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == serial
+
+
+def container_chains(ast):
+    """loop id -> the containers (Program, Blocks, enclosing loops) from the
+    program root down to the loop, the loop excluded."""
+    chains = {}
+
+    def visit(container, chain):
+        chain = chain + (container,)
+        for child in children(container):
+            if isinstance(child, ForLoop):
+                chains[child.node_id] = chain
+                visit(child, chain)
+            elif isinstance(child, Block):
+                visit(child, chain)
+
+    visit(ast, ())
+    return chains
+
+
+def reference_upward_exposed(region, loops):
+    """Variables read inside the region before the region writes them, by
+    one ordered walk; a nested loop of unknown trip count may run zero
+    times, so its writes count only when its trip is statically known."""
+    exposed = set()
+
+    def walk_stmt(stmt, written):
+        if isinstance(stmt, Block):
+            for inner in stmt.body:
+                walk_stmt(inner, written)
+        elif isinstance(stmt, ForLoop):
+            exposed.update(accesses(stmt.init)[0] - written)
+            written.add(stmt.var)
+            reads = accesses(stmt.bound)[0] | {stmt.cond_var, stmt.step_var}
+            exposed.update(reads - written)
+            written.add(stmt.step_var)
+            body_written = set(written)
+            walk_stmt(stmt.body, body_written)
+            if loops.by_id[stmt.node_id].trip_count is not None:
+                written |= body_written
+        else:
+            reads, assigned, _ = accesses(stmt)
+            exposed.update(reads - written)
+            written |= assigned
+
+    walk_stmt(region, set())
+    return exposed
+
+
+def reference_region_ops(ast, loops, chains, root, hoist):
+    """One region's ops from a walk of the containers outward from it: each
+    enclosing loop's accesses outside the loop below it block hoisting and
+    run later; so do the statements after the chain in a Program or
+    Block."""
+    decls = {item.name: item for item in ast.items if isinstance(item, VarDecl)}
+    enclosing, later = [], set()
+    inner = below = loops.nodes[root]
+    for container in reversed(chains[root]):
+        if isinstance(container, ForLoop):
+            reads, assigned, control = accesses(container, skip=inner)
+            enclosing.append((container.node_id, reads, assigned | control))
+            later |= reads | assigned | control
+            inner = container
+        else:
+            items = children(container)
+            at = next(k for k, item in enumerate(items) if item is below)
+            for item in items[at + 1:]:
+                later.update(*accesses(item))
+        below = container
+
+    def anchor(var, reads_block):
+        at = root
+        if hoist:
+            for loop_id, reads, writes in enclosing:
+                if var in writes or (reads_block and var in reads):
+                    break
+                at = loop_id
+        return at
+
+    ops = []
+    for var in sorted(reference_upward_exposed(loops.nodes[root], loops)):
+        at = anchor(var, reads_block=False)
+        if enclosing and at != enclosing[-1][0]:
+            later.add(var)
+        ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
+                              decls[var].byte_size, root))
+    for var in sorted(loops.by_id[root].defs & later):
+        at = anchor(var, reads_block=True)
+        ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
+                              decls[var].byte_size, root))
+    return tuple(ops)
+
+
+REFERENCE_EDGE_CASES = {
+    # a top-level Block holding a loop, with statements after it inside
+    # the Block and after the Block
+    "block": "int i; float a[4]; float s; float t; "
+             "{ for(i=0;i<4;i++){ a[i] = s; } t = a[1]; } s = t; { a[2] = 3.0; }",
+    # nested Blocks in a loop body, around and beside the inner loop
+    "nested-blocks": "int i; int j; float a[4]; float s; float t; "
+                     "for(j=0;j<3;j++){ { t = s; { for(i=0;i<4;i++){ a[i] = a[i] + t; } } } "
+                     "{ s = a[j]; } } t = a[0];",
+    # a non-canonical enclosing loop, whose header writes i and k
+    "non-canonical": "int i; int j; int k; float s; float a[4]; "
+                     "for(i=0;j<4;k++){ s = s + 1.0; for(j=0;j<4;j++){ a[j] = s + k; } } "
+                     "for(i=0;i<4;i++){ a[i] = a[i] + s; }",
+    # an inner loop of unknown trip count may leave x unwritten
+    "zero-trip": "int n = 0; int m; float x; float y; int i = 0; int j = 0; m = 3; "
+                 "for(i=0;i<4;i++){ for(j=0;j<n;j++){ x = 1.0; } y = x; "
+                 "for(j=0;j<m;j++){ y = y + 1.0; } } y = x;",
+}
+
+
+def reference_programs():
+    for path in corpus_programs():
+        yield path.name, path.read_text(encoding="utf-8")
+    generator = load_generator()
+    for workload in ("sim-search", "verify-heavy", "external-search"):
+        for program in generator.generate(workload, 1):
+            yield f"{workload}/{program.name}", program.source
+    yield from REFERENCE_EDGE_CASES.items()
+
+
+def test_plans_match_reference_planner():
+    for name, source in reference_programs():
+        ast = parse_program(source)
+        loops = extract_loops(ast)
+        chains = container_chains(ast)
+        eligible = loops.eligible_ids()
+        patterns = [OffloadPattern(tuple(int(x == lid) for x in eligible))
+                    for lid in eligible]
+        patterns += random_valid_patterns(loops, 20, random.Random(name))
+        assert len(eligible) >= 1, name
+        for hoist in (True, False):
+            reference = {root: reference_region_ops(ast, loops, chains, root, hoist)
+                         for root in eligible}
+            for pattern in patterns:
+                expected = tuple(op for root in offloaded_ids(pattern, loops)
+                                 for op in reference[root])
+                plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+                assert plan.ops == expected, (name, pattern.as_string(), hoist)

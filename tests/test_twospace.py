@@ -2,10 +2,8 @@
 must reproduce plain interpretation bit-exactly, exhaustively over patterns
 where the gene is short and on seeded samples where it is not."""
 
-import importlib.util
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -19,7 +17,7 @@ from offload_planner.offload import (
     validate_pattern,
 )
 
-from conftest import CORPUS, corpus_programs
+from conftest import corpus_programs, load_generator
 
 
 def valid_patterns(loops, limit_exhaustive=8, samples=64, seed=5):
@@ -264,16 +262,6 @@ def test_teardown_flush_copies_out_exactly_the_device_fresh(src, copyouts, drop,
                                   if op.direction != DEVICE_TO_HOST))
     sim = simulate_with_plan(ast, loops, pattern, plan)
     assert sim.outputs == interpret(ast) == expected
-
-
-def load_generator():
-    """perfbench/corpus.py, the benchmark's seeded program generator."""
-    path = CORPUS.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_generated_programs_two_space_equals_interpretation():

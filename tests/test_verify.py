@@ -96,6 +96,17 @@ def test_diff_failure_detected_for_mismatched_baseline():
     assert report.recommendation == "attention"
 
 
+def test_identical_infinite_outputs_pass_the_diff(tmp_path):
+    source = tmp_path / "overflow.mc"
+    source.write_text("float x = 10; int i; for(i=0;i<400;i++){ x = x * 10.0; }\n")
+    case = TestCase(name="overflow", kind="performance", source=str(source),
+                    pattern=(1,), baseline=str(source), tolerance=ToleranceSpec())
+    report = run_verification(ALLOC_2_1, MEASURE_10_5, [case], {}, [])
+    row = report.performance[0]
+    assert row.diff_passed and row.worst_deviation == 0.0
+    assert report.recommendation == "ready"
+
+
 def test_scaled_time_monotone_in_units():
     scaled = []
     for cpu_units, dev_units in [(1, 1), (2, 1), (2, 2), (4, 2)]:
