@@ -6,8 +6,9 @@ they compose: analyze -> loops.json; search -> pattern.json, the annotated
 report.txt. Files are the contract only between subcommands run
 separately: run-all chains all four from one JSON config, reads the
 program and its cost annotations once in the analyze stage and passes
-values from stage to stage, and exits 0 only when the verification
-report says ready.
+values from stage to stage (verify reuses the analyzed program for every
+sim case that names the config's source, so run-all parses it once), and
+exits 0 only when the verification report says ready.
 
 Exit codes: 0 ready, 1 attention, 2 configuration or infeasibility errors.
 The OFFLOAD_SEED environment variable overrides the configured GA seed.
@@ -247,11 +248,14 @@ def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
 def stage_verify(allocation: Allocation, t_cpu: float, t_dev: float,
                  tests: list, registry: dict, components: list,
                  outdir: Path, tolerance: ToleranceSpec | None = None,
-                 timeout: float = 300.0) -> int:
+                 timeout: float = 300.0, analyzed: tuple | None = None) -> int:
+    """Run verification, write report.json and report.txt and print the
+    report. ``analyzed`` is the (path, ast, loop table) of a program already
+    loaded, which the sim cases naming that file reuse."""
     measurement = Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
     report = run_verification(allocation, measurement, tests, registry,
                               components, default_tolerance=tolerance,
-                              timeout=timeout)
+                              timeout=timeout, analyzed=analyzed)
     _write_json(outdir / "report.json", report.to_json())
     text = report.to_text()
     _write_text(outdir / "report.txt", text)
@@ -273,7 +277,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     registry = load_registry(cfg.registry)
     return stage_verify(allocation, m.t_cpu_part, m.t_dev_part, tests,
                         registry, cfg.components, outdir, cfg.tolerance,
-                        cfg.timeout)
+                        cfg.timeout, analyzed=(cfg.source, ast, loops))
 
 
 # -- argument parsing --------------------------------------------------------

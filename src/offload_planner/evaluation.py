@@ -12,6 +12,7 @@ import math
 import shlex
 import struct
 import subprocess
+import weakref
 from dataclasses import dataclass, field
 
 from .minic.loops import LoopTable
@@ -154,6 +155,86 @@ def _entries(loops: LoopTable, loop_id: int) -> float:
     return float(count)
 
 
+def _host_cost(loops: LoopTable, costs: CostAnnotations, info) -> float | None:
+    """The loop's own cost on the host; None when it carries no work."""
+    work = costs.work_for(info)
+    if work == 0.0:
+        return None
+    if info.trip_count is None:
+        raise CostModelError(
+            f"host loop {info.loop_id} has work but no static trip count")
+    return _entries(loops, info.loop_id) * info.trip_count * work * costs.tau_host
+
+
+def _region_cost(loops: LoopTable, costs: CostAnnotations, root: int) -> float:
+    """The kernel cost of the region rooted at ``root``, transfers aside."""
+    speedup = costs.speedup.get(root, DEFAULT_SPEEDUP)
+    kernel = costs.launch_overhead
+    iters_within = {}  # loop id -> iterations per region execution, None if unknown
+    for lid in loops.subtree_ids(root):
+        info = loops.by_id[lid]
+        outer = 1 if lid == root else iters_within[info.parent_loop]
+        iters_within[lid] = (None if outer is None or info.trip_count is None
+                             else outer * info.trip_count)
+        work = costs.work_for(info)
+        if work == 0.0:
+            continue
+        if iters_within[lid] is None:
+            unknown = next(a for a in [lid] + loops.ancestors(lid)
+                           if loops.by_id[a].trip_count is None)
+            raise CostModelError(
+                f"loop {unknown} in region {root} has no static trip count")
+        kernel += float(iters_within[lid]) * work * costs.tau_host / speedup
+    return _entries(loops, root) * kernel
+
+
+def _term(cost, *args):
+    """cost(*args), or the cost model error it raises, kept without its
+    traceback (whose frames would hold the loop table)."""
+    try:
+        return cost(*args)
+    except (CostModelError, MissingAnnotation) as exc:
+        return exc.with_traceback(None)
+
+
+@dataclass(frozen=True)
+class _SimTerms:
+    """The pattern-free terms of the sim cost model. Each is a float, or the
+    CostModelError or MissingAnnotation that a pattern using it raises."""
+
+    host: tuple      # (loop id, host cost) in table order, loops with work
+    region: dict     # eligible loop id -> kernel cost of the region rooted there
+    entries: dict    # loop id -> how many times the loop is entered
+    members: dict    # eligible loop id -> the loop ids of its region
+
+
+# loop table -> {id(costs): (costs, terms)}. Cost annotations are frozen, so
+# their terms stay valid; holding them keeps their id from being reused. Two
+# threads may fill an entry at once; both compute equal terms, so either
+# write may win.
+_SIM_TERMS = weakref.WeakKeyDictionary()
+
+
+def _sim_terms(loops: LoopTable, costs: CostAnnotations) -> _SimTerms:
+    memo = _SIM_TERMS.setdefault(loops, {})
+    entry = memo.get(id(costs))
+    if entry is None:
+        eligible = loops.eligible_ids()
+        host = ((info.loop_id, _term(_host_cost, loops, costs, info)) for info in loops)
+        terms = _SimTerms(
+            host=tuple((lid, term) for lid, term in host if term is not None),
+            region={root: _term(_region_cost, loops, costs, root) for root in eligible},
+            entries={lid: _term(_entries, loops, lid) for lid in loops.by_id},
+            members={root: frozenset(loops.subtree_ids(root)) for root in eligible})
+        entry = memo[id(costs)] = (costs, terms)
+    return entry[1]
+
+
+def _fail(term: Exception):
+    """Raise a fresh copy of a stored cost model error."""
+    raise type(term)(*term.args)
+
+
 def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
                  plan: TransferPlan, costs: CostAnnotations) -> Measurement:
     """Deterministic closed-form cost model.
@@ -164,48 +245,37 @@ def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
     from the root down to the loop. Every transfer op costs (latency +
     bytes/bandwidth) per anchor execution; transfer time is charged to the
     device part.
+
+    Those host and region terms do not depend on the pattern: they are
+    computed once per loop table and cost annotations, and a pattern only
+    sums its terms, host loops in table order, then its regions, then the
+    plan's ops. A term that cannot be computed (a loop with work but no
+    static trip count, an eligible loop with no work annotation) raises
+    its CostModelError or MissingAnnotation for the patterns that use it.
     """
-    if pattern.as_string() in costs.fault_patterns:
+    if costs.fault_patterns and pattern.as_string() in costs.fault_patterns:
         return Measurement.invalid("fault injected by configuration")
+    terms = _sim_terms(loops, costs)
     roots = offloaded_ids(pattern, loops)
-    region_members = set()
-    for root in roots:
-        region_members.update(loops.subtree_ids(root))
+    members = set().union(*(terms.members[root] for root in roots))
 
     t_cpu = 0.0
-    for info in loops:
-        if info.loop_id in region_members:
-            continue
-        work = costs.work_for(info)
-        if work == 0.0:
-            continue
-        if info.trip_count is None:
-            raise CostModelError(
-                f"host loop {info.loop_id} has work but no static trip count")
-        t_cpu += _entries(loops, info.loop_id) * info.trip_count * work * costs.tau_host
-
+    for lid, term in terms.host:
+        if lid not in members:
+            if type(term) is not float:
+                _fail(term)
+            t_cpu += term
     t_dev = 0.0
     for root in roots:
-        speedup = costs.speedup.get(root, DEFAULT_SPEEDUP)
-        kernel = costs.launch_overhead
-        iters_within = {}  # loop id -> iterations per region execution, None if unknown
-        for lid in loops.subtree_ids(root):
-            info = loops.by_id[lid]
-            outer = 1 if lid == root else iters_within[info.parent_loop]
-            iters_within[lid] = (None if outer is None or info.trip_count is None
-                                 else outer * info.trip_count)
-            work = costs.work_for(info)
-            if work == 0.0:
-                continue
-            if iters_within[lid] is None:
-                unknown = next(a for a in [lid] + loops.ancestors(lid)
-                               if loops.by_id[a].trip_count is None)
-                raise CostModelError(
-                    f"loop {unknown} in region {root} has no static trip count")
-            kernel += float(iters_within[lid]) * work * costs.tau_host / speedup
-        t_dev += _entries(loops, root) * kernel
+        term = terms.region[root]
+        if type(term) is not float:
+            _fail(term)
+        t_dev += term
     for op in plan.ops:
-        t_dev += _entries(loops, op.anchor_loop) * (costs.latency + op.bytes / costs.bandwidth)
+        count = terms.entries[op.anchor_loop]
+        if type(count) is not float:
+            _fail(count)
+        t_dev += count * (costs.latency + op.bytes / costs.bandwidth)
 
     return Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
 

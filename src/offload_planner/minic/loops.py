@@ -20,6 +20,13 @@ after is the (reads, writes) of CPU code in the loop's scope that can run
 after the loop: for a nested loop the rest of its parent, header included
 (the next parent iteration); for a top-level loop the statements that
 follow it. Header index updates count as writes.
+
+must holds the names an execution of the loop that runs its body surely
+writes in full. A store to one array element counts for the array only at
+the loop whose iterations provably store every cell: the index is an
+integer affine function of the counters of loops whose headers alone drive
+their index variables, and it maps their iterations one to one onto the
+array's extent (``for(i=0;i<8;i++){ a[i] = ...; }`` with ``float a[8]``).
 """
 
 from __future__ import annotations
@@ -29,11 +36,15 @@ import math
 from dataclasses import dataclass
 
 from .astnodes import (
+    Assign,
+    BinOp,
     Block,
     Call,
     CallStmt,
     ForLoop,
+    Num,
     Program,
+    Var,
     VarDecl,
     accesses,
     walk,
@@ -52,6 +63,7 @@ class LoopInfo:
     defs: frozenset
     uses: frozenset
     exposed: frozenset
+    must: frozenset
     after: tuple              # (reads, writes), each a frozenset
 
 
@@ -63,6 +75,7 @@ class LoopTable:
         self.infos = tuple(infos)
         self.nodes = nodes
         self.by_id = {info.loop_id: info for info in infos}
+        self._eligible_ids = tuple(info.loop_id for info in infos if info.eligible)
         self._ancestors: dict[int, tuple] = {}
         self._subtree: dict[int, list] = {}
         self._exec_counts: dict[int, int | None] = {}
@@ -88,11 +101,13 @@ class LoopTable:
     def eligible(self) -> list[LoopInfo]:
         return [info for info in self.infos if info.eligible]
 
-    def eligible_ids(self) -> list[int]:
-        return [info.loop_id for info in self.infos if info.eligible]
+    def eligible_ids(self) -> tuple:
+        """Ids of the eligible loops in table order: one bit each in a
+        pattern."""
+        return self._eligible_ids
 
     def gene_length(self) -> int:
-        return len(self.eligible_ids())
+        return len(self._eligible_ids)
 
     def ancestors(self, loop_id: int) -> list[int]:
         """Proper ancestors, innermost first."""
@@ -100,6 +115,17 @@ class LoopTable:
 
     def is_ancestor(self, a: int, b: int) -> bool:
         return a in self._ancestors[b]
+
+    def nested_pair(self, loop_ids) -> tuple | None:
+        """The first of ``loop_ids`` (in the given order) with an ancestor
+        among them, and its innermost such ancestor; None when no two
+        nest."""
+        chosen = set(loop_ids)
+        for lid in loop_ids:
+            for anc in self._ancestors[lid]:
+                if anc in chosen:
+                    return lid, anc
+        return None
 
     def subtree_ids(self, root_id: int) -> list[int]:
         return list(self._subtree[root_id])
@@ -132,17 +158,26 @@ def extract_loops(ast: Program) -> LoopTable:
     """The loop table of ``ast`` from one bottom-up visit. Blocks are
     flattened into their scope, the program or a loop body, and each
     statement is summarised as (reads, assigned, writes, exposed,
-    must-written); writes adds header index updates to assigned."""
+    must-written); writes adds header index updates to assigned. In a
+    must-written set, the node id of an element store stands for its cell
+    until a loop around it covers the array."""
     consts = _single_assignment_constants(ast)
+    sizes = {item.name: item.size for item in ast.items
+             if isinstance(item, VarDecl) and item.is_array}
     infos = []
     nodes = {}
     pending: dict[int, dict] = {}  # loop id -> LoopInfo fields but after
+    enclosing: list = []   # the loops around the statement visited, outermost first
+    cells: dict = {}       # element store id -> (array, index, enclosing loops)
+    # loop id -> (start, step, trip) of each loop whose header alone steps
+    # its index, through integers
+    driven: dict = {}
 
     def scope(items, parent_id, depth, header):
         """Summary of a scope, recording the loops in it. ``header`` is the
         (reads, writes) of the loop whose body it is, None at top level."""
         stmts = list(_flatten(items))
-        sums = [loop(s, parent_id, depth) if isinstance(s, ForLoop) else _plain(s)
+        sums = [loop(s, parent_id, depth) if isinstance(s, ForLoop) else plain(s)
                 for s in stmts]
         later = [(set(), set())]  # (reads, writes) after each statement
         for reads, _, writes, _, _ in reversed(sums[1:]):
@@ -163,6 +198,25 @@ def extract_loops(ast: Program) -> LoopTable:
             must |= s_must
         return reads, assigned, writes, exposed, must
 
+    def plain(stmt):
+        """Summary of a loop-free statement: it reads its operands, then
+        stores."""
+        reads, assigned, _ = accesses(stmt)
+        must = assigned
+        if isinstance(stmt, Assign) and stmt.index is not None:
+            cells[stmt.node_id] = (stmt.name, stmt.index, tuple(enclosing))
+            must = {stmt.node_id}
+        return reads, assigned, assigned, reads, must
+
+    def covers(depth, cell) -> bool:
+        """Whether the iterations of the loop at ``depth`` around the cell
+        store every element of its array."""
+        array, index, chain = cell
+        counters = {around.var: driven.get(around.node_id)  # innermost wins
+                    for around in chain[depth:]}
+        form = _affine(index, consts, counters)
+        return form is not None and _covers(form, counters, sizes.get(array))
+
     def loop(node: ForLoop, parent_id, depth):
         """The loop's summary. Its header reads init, writes the index,
         reads the bound, condition and step variables, then steps."""
@@ -171,8 +225,10 @@ def extract_loops(ast: Program) -> LoopTable:
         test_reads = accesses(node.bound)[0] | {node.cond_var, node.step_var}
         header_reads = init_reads | test_reads
         header_writes = {node.var, node.step_var}
+        enclosing.append(node)
         reads, assigned, writes, exposed, must = scope(
             (node.body,), node.node_id, depth + 1, (header_reads, header_writes))
+        enclosing.pop()
         trip = static_trip_count(node, consts)
         reason = None
         if not node.canonical:
@@ -186,14 +242,20 @@ def extract_loops(ast: Program) -> LoopTable:
                 reason = f"unknown call '{unknown}' in loop body"
             elif node.var in writes:  # a nested header re-driving it, too
                 reason = f"index variable '{node.var}' assigned in loop body"
+            start = _fold(node.init, consts)
+            if node.var not in writes and start.is_integer():
+                driven[node.node_id] = (int(start), node.step, trip)
         exposed = init_reads | (test_reads - {node.var}) | (exposed - header_writes)
+        covered = {x for x in must if not isinstance(x, str) and covers(depth, cells[x])}
+        must = header_writes | (must - covered) | {cells[x][0] for x in covered}
         pending[node.node_id] = dict(
             loop_id=node.node_id, parent_loop=parent_id, depth=depth,
             trip_count=trip, eligible=reason is None, ineligibility_reason=reason,
             defs=frozenset(assigned), uses=frozenset(header_reads | reads),
-            exposed=frozenset(exposed))
-        # a body that may run zero times writes nothing for sure
-        must = header_writes | must if trip is not None else header_writes
+            exposed=frozenset(exposed),
+            must=frozenset(x for x in must if isinstance(x, str)))
+        if trip is None:  # a body that may run zero times writes nothing for sure
+            must = header_writes
         return header_reads | reads, assigned, header_writes | writes, exposed, must
 
     scope(ast.items, None, 0, None)
@@ -209,11 +271,66 @@ def _flatten(stmts):
             yield stmt
 
 
-def _plain(stmt) -> tuple:
-    """Summary of a loop-free statement: it reads its operands, then
-    stores."""
-    reads, assigned, _ = accesses(stmt)
-    return reads, assigned, assigned, reads, assigned
+_EXACT = 2 ** 53  # binary64 holds every integer of smaller magnitude
+
+
+def _affine(expr, consts: dict, counters: dict):
+    """``expr`` as (c, {var: k}), the value c + sum of k * t over the
+    iteration counters t of the loops driving its variables; ``counters``
+    maps each variable to its loop's (start, step, trip), None when no
+    header alone drives it. None unless c and every k are integers and
+    every subexpression takes only integer values below _EXACT, which
+    binary64 arithmetic computes exactly."""
+    if isinstance(expr, Num) or (isinstance(expr, Var) and expr.name in consts):
+        value = expr.value if isinstance(expr, Num) else consts[expr.name]
+        if not float(value).is_integer():
+            return None
+        form = (int(value), {})
+    elif isinstance(expr, Var):
+        if counters.get(expr.name) is None:
+            return None
+        start, step, _ = counters[expr.name]
+        form = (start, {expr.name: step})
+    elif isinstance(expr, BinOp):
+        left = _affine(expr.left, consts, counters)
+        right = _affine(expr.right, consts, counters)
+        if left is None or right is None:
+            return None
+        (lc, lk), (rc, rk) = left, right
+        if expr.op in "+-":
+            sign = 1 if expr.op == "+" else -1
+            k = dict(lk)
+            for var, x in rk.items():
+                k[var] = k.get(var, 0) + sign * x
+            form = (lc + sign * rc, k)
+        elif expr.op == "*" and not (lk and rk):
+            factor, (c, k) = (rc, left) if not rk else (lc, right)
+            form = (c * factor, {var: x * factor for var, x in k.items()})
+        elif (expr.op == "/" and not rk and rc != 0
+              and all(x % rc == 0 for x in (lc, *lk.values()))):
+            form = (lc // rc, {var: x // rc for var, x in lk.items()})
+        else:
+            return None
+    else:
+        return None
+    c, k = form
+    if abs(c) + sum(abs(x) * (counters[var][2] - 1) for var, x in k.items()) >= _EXACT:
+        return None
+    return form
+
+
+def _covers(form, counters: dict, size: int | None) -> bool:
+    """Whether the affine index ``form`` maps the loops' iterations one to
+    one onto range(size): no offset, and the nonzero coefficients, sorted,
+    are the place values of a mixed-radix number whose digits are the
+    iteration counters."""
+    c, k = form
+    reach = 1  # the iterations so far cover range(reach)
+    for x, trip in sorted((x, counters[var][2]) for var, x in k.items() if x):
+        if x != reach:
+            return False
+        reach *= trip
+    return c == 0 and reach == size
 
 
 def _first_unknown_call(loop: ForLoop) -> str | None:
@@ -240,6 +357,8 @@ def _single_assignment_constants(ast: Program) -> dict:
 def _fold(expr, consts: dict) -> float | None:
     """The expression's value over the constants; None when it reads
     anything else (a KeyError) or cannot be evaluated."""
+    if isinstance(expr, Num):  # most loop bounds, without compiling
+        return expr.value
     try:
         return eval_expr(expr, consts)
     except (EvalError, KeyError):

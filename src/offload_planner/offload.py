@@ -10,11 +10,14 @@ Transfer planning, per region. A region's ops depend only on the program
 and the region root (and whether hoisting is on), never on which other
 regions the pattern offloads, so each region is planned once per loop
 table and a pattern's plan is its regions' ops in loop-table order. The
-loop table hands each loop its exposed reads and the accesses that can
-run after it (LoopInfo.exposed and .after), so planning a region costs
-O(depth x variables), with no walk of the program:
+loop table hands each loop its exposed reads, what it surely writes in
+full and the accesses that can run after it (LoopInfo.exposed, .must and
+.after), so planning a region costs O(depth x variables), with no walk
+of the program:
   * host-to-device (copyin) for every variable whose value flows into the
-    region from outside: read in the region before the region writes it;
+    region from outside: read in the region before the region writes it,
+    or written by it but not surely in full (LoopInfo.must) by the time the
+    device's copy reaches the host, at the copyout or the teardown flush;
   * device-to-host (copyout) for every variable the region writes that CPU
     code can later read or rewrite, or whose copyin refires in a CPU loop;
   * each op anchors at the region root, then hoists outward past enclosing
@@ -73,7 +76,7 @@ class OffloadPattern:
         return "".join(str(b) for b in self.bits)
 
     def to_json(self, loops: LoopTable) -> dict:
-        return {"bits": list(self.bits), "loop_ids": loops.eligible_ids()}
+        return {"bits": list(self.bits), "loop_ids": list(loops.eligible_ids())}
 
     @staticmethod
     def from_json(data: dict) -> "OffloadPattern":
@@ -86,13 +89,11 @@ def validate_pattern(pattern: OffloadPattern, loops: LoopTable) -> str | None:
     if len(pattern.bits) != len(eligible):
         raise LengthMismatch(
             f"pattern length {len(pattern.bits)} != eligible loop count {len(eligible)}")
-    offloaded = {lid for lid, bit in zip(eligible, pattern.bits) if bit}
-    for lid in sorted(offloaded):
-        for anc in loops.ancestors(lid):
-            if anc in offloaded:
-                return (f"loop {lid} and its ancestor {anc} are both offloaded; "
-                        f"regions cannot nest")
-    return None
+    pair = loops.nested_pair([lid for lid, bit in zip(eligible, pattern.bits) if bit])
+    if pair is None:
+        return None
+    return (f"loop {pair[0]} and its ancestor {pair[1]} are both offloaded; "
+            f"regions cannot nest")
 
 
 def offloaded_ids(pattern: OffloadPattern, loops: LoopTable) -> list[int]:
@@ -172,14 +173,23 @@ def _region_ops(loops: LoopTable, root: int, hoist: bool, sizes: dict) -> tuple:
                 at = loop_id
         return at
 
+    info = loops.by_id[root]
+    copyins = set(info.exposed)
+    for var in info.defs - info.exposed:
+        # the device's copy reaches the host whole, at its copyout or the
+        # teardown flush after the outermost loop; what the region may
+        # leave unwritten by then must hold the host's values
+        sink = anchor(var, reads_block=True) if var in later else chain[-1]
+        if var not in loops.by_id[sink].must:
+            copyins.add(var)
     ops = []
-    for var in sorted(loops.by_id[root].exposed):
+    for var in sorted(copyins):
         at = anchor(var, reads_block=False)
         if at != chain[-1]:
             later.add(var)  # refires per enclosing iteration, so copy back
         ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
                               sizes[var], root))
-    for var in sorted(loops.by_id[root].defs & later):
+    for var in sorted(info.defs & later):
         at = anchor(var, reads_block=True)
         ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
                               sizes[var], root))

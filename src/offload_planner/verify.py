@@ -14,6 +14,7 @@ counts: t_cpu/cpu_units + t_dev/dev_units.
 from __future__ import annotations
 
 import json
+import os
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,13 +223,15 @@ def _regression_row(name: str, command: str, timeout: float) -> RegressionRow:
 
 
 def _program(path: str, programs: dict):
-    """(ast, loop table) of the program at path, loaded once per table. A
-    failed load is not stored, so every case that needs it fails alike."""
-    if path not in programs:
+    """(ast, loop table) of the program at path, loaded once per table,
+    which is keyed by resolved path. A failed load is not stored, so every
+    case that needs it fails alike."""
+    key = os.path.realpath(path)
+    if key not in programs:
         with open(path, encoding="utf-8") as f:
             ast = parse_program(f.read())
-        programs[path] = (ast, extract_loops(ast))
-    return programs[path]
+        programs[key] = (ast, extract_loops(ast))
+    return programs[key]
 
 
 def _sim_diff(case: TestCase, tol: ToleranceSpec, scaled: float | None,
@@ -245,9 +248,9 @@ def _sim_diff(case: TestCase, tol: ToleranceSpec, scaled: float | None,
         pattern = OffloadPattern(tuple(case.pattern or ()))
         plan = plan_transfers(ast, loops, pattern)
         offloaded = simulate_with_plan(ast, loops, pattern, plan).outputs
-        if case.baseline not in baselines:
-            baselines[case.baseline] = interpret(baseline_ast)
-        verdict = compare_results(offloaded, baselines[case.baseline], tol)
+        if id(baseline_ast) not in baselines:
+            baselines[id(baseline_ast)] = interpret(baseline_ast)
+        verdict = compare_results(offloaded, baselines[id(baseline_ast)], tol)
         return PerformanceRow(case.name, scaled, throughput, verdict.passed,
                               verdict.worst_variable, verdict.worst_deviation)
     except (ParseError, EvalError, TwoSpaceError, InvalidPattern, LengthMismatch,
@@ -259,17 +262,27 @@ def run_verification(allocation: Allocation, measurement: Measurement,
                      tests: list[TestCase], registry: dict,
                      declared_components: list[str],
                      default_tolerance: ToleranceSpec | None = None,
-                     timeout: float = DEFAULT_TIMEOUT) -> VerificationReport:
+                     timeout: float = DEFAULT_TIMEOUT,
+                     analyzed: tuple | None = None) -> VerificationReport:
     """Execute every test case and assemble the report; per-case failures are
     captured, never fatal. Only a structurally broken case (a performance
-    case with no baseline) raises ConfigError."""
+    case with no baseline) raises ConfigError.
+
+    Each program file a sim case names is parsed and its loops extracted
+    once per call, and each baseline interpreted once. ``analyzed`` is the
+    (path, ast, loop table) of a program already loaded; cases naming that
+    file, under any spelling of its path, use it without parsing again.
+    """
     tol_default = default_tolerance or ToleranceSpec()
     report = VerificationReport(allocation=allocation,
                                 monthly_cost=allocation.monthly_cost)
     scaled = _scaled_time(measurement, allocation)
     throughput = (1.0 / scaled) if scaled else None
-    programs: dict = {}            # path -> (ast, loop table)
-    baselines: dict = {}           # path -> interpreted outputs
+    programs: dict = {}            # resolved path -> (ast, loop table)
+    if analyzed is not None:
+        path, ast, loops = analyzed
+        programs[os.path.realpath(path)] = (ast, loops)
+    baselines: dict = {}           # id of a baseline ast in programs -> outputs
 
     for case in tests:
         if case.kind == "performance":

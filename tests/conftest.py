@@ -28,3 +28,17 @@ def load_generator():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def sim_benchmark_programs(workload: str, directory: Path):
+    """(program, cost annotations) of each seed-1 program of a sim workload
+    of the benchmark, its costs read back from the file the benchmark
+    writes for it under ``directory``."""
+    from offload_planner.evaluation import CostAnnotations
+
+    generator = load_generator()
+    shape = generator.WORKLOADS[workload]
+    for program in generator.generate(workload, 1):
+        generator.write_program(program, shape, directory / program.name,
+                                directory / "measure.awk")
+        yield program, CostAnnotations.load(directory / program.name / "costs.json")

@@ -53,6 +53,11 @@ def test_pipeline_calls_through_every_wrap_point(tmp_path, monkeypatch):
     from offload_planner.cli import main
 
     assert main(["run-all", "--config", str(tmp_path / "g3_config.json")]) == 0
+    # run-all hands verify the analyzed program; the verify subcommand parses
+    assert main(["verify", "--plan", str(tmp_path / "out" / "plan.json"),
+                 "--tests", str(tmp_path / "g3_tests.json"),
+                 "--registry", str(tmp_path / "g3_registry.json"),
+                 "-o", str(tmp_path / "v")]) == 0
     cmd = f'{sys.executable} -c "print(0.5, 0.25, 0.25, 1)"'
     assert main(["search", str(tmp_path / "g3.mc"), "--backend", "external",
                  "--cmd", cmd + " {src} {pattern}",

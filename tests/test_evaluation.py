@@ -5,16 +5,22 @@ formula; the ulp comparison is checked against a bit-pattern oracle written
 in a different formulation than the production code.
 """
 
+import gc
+import itertools
 import math
 import random
 import struct
 import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from offload_planner.evaluation import (
+    DEFAULT_SPEEDUP,
     INFINITE_TIME,
     CostAnnotations,
+    CostModelError,
     Measurement,
     MissingAnnotation,
     ShapeMismatch,
@@ -26,9 +32,9 @@ from offload_planner.evaluation import (
     ulp_distance,
 )
 from offload_planner.minic import extract_loops, parse_program
-from offload_planner.offload import OffloadPattern, plan_transfers
+from offload_planner.offload import OffloadPattern, offloaded_ids, plan_transfers
 
-from conftest import read_corpus
+from conftest import CORPUS, corpus_programs, read_corpus, sim_benchmark_programs
 
 PY = sys.executable
 
@@ -342,3 +348,191 @@ def test_ulp_distance_agrees_with_bit_oracle_randomized():
             for _ in range(rng.randint(0, 8)):
                 y = math.nextafter(y, math.inf if rng.random() < 0.5 else -math.inf)
         assert ulp_distance(x, y) == oracle_ulp(x, y), (x, y)
+
+
+# -- bit identity with the per-pattern cost model ---------------------------
+
+def reference_evaluate_sim(ast, loops, pattern, plan, costs):
+    """The cost model summed anew for every pattern: every loop's host cost
+    and every region's kernel cost recomputed, in the order evaluate_sim
+    must keep (host loops in table order, then regions, then ops)."""
+    def entries(loop_id):
+        count = loops.exec_count(loop_id)
+        if count is None:
+            anc = next(a for a in loops.ancestors(loop_id)
+                       if loops.by_id[a].trip_count is None)
+            raise CostModelError(f"loop {anc} enclosing {loop_id} has no static trip count")
+        return float(count)
+
+    if pattern.as_string() in costs.fault_patterns:
+        return Measurement.invalid("fault injected by configuration")
+    roots = offloaded_ids(pattern, loops)
+    region_members = set()
+    for root in roots:
+        region_members.update(loops.subtree_ids(root))
+    t_cpu = 0.0
+    for info in loops:
+        if info.loop_id in region_members:
+            continue
+        work = costs.work_for(info)
+        if work == 0.0:
+            continue
+        if info.trip_count is None:
+            raise CostModelError(
+                f"host loop {info.loop_id} has work but no static trip count")
+        t_cpu += entries(info.loop_id) * info.trip_count * work * costs.tau_host
+    t_dev = 0.0
+    for root in roots:
+        speedup = costs.speedup.get(root, DEFAULT_SPEEDUP)
+        kernel = costs.launch_overhead
+        iters_within = {}
+        for lid in loops.subtree_ids(root):
+            info = loops.by_id[lid]
+            outer = 1 if lid == root else iters_within[info.parent_loop]
+            iters_within[lid] = (None if outer is None or info.trip_count is None
+                                 else outer * info.trip_count)
+            work = costs.work_for(info)
+            if work == 0.0:
+                continue
+            if iters_within[lid] is None:
+                unknown = next(a for a in [lid] + loops.ancestors(lid)
+                               if loops.by_id[a].trip_count is None)
+                raise CostModelError(
+                    f"loop {unknown} in region {root} has no static trip count")
+            kernel += float(iters_within[lid]) * work * costs.tau_host / speedup
+        t_dev += entries(root) * kernel
+    for op in plan.ops:
+        t_dev += entries(op.anchor_loop) * (costs.latency + op.bytes / costs.bandwidth)
+    return Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
+
+
+def outcome(evaluate, ast, loops, pattern, plan, costs):
+    """repr of the measurement, or the type and message of the error."""
+    try:
+        return repr(evaluate(ast, loops, pattern, plan, costs))
+    except (CostModelError, MissingAnnotation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def sample_patterns(loops, count, rng):
+    """The all-zero pattern, every single-bit pattern and ``count`` seeded
+    random valid ones."""
+    ids = loops.eligible_ids()
+    patterns = [tuple(int(x == lid) for x in ids) for lid in (None,) + ids]
+    for _ in range(count):
+        chosen = []
+        for lid in ids:
+            if rng.random() < 0.5 and not any(loops.is_ancestor(c, lid) for c in chosen):
+                chosen.append(lid)
+        patterns.append(tuple(int(lid in chosen) for lid in ids))
+    return [OffloadPattern(bits) for bits in patterns]
+
+
+def assert_same_outcomes(ast, loops, costs, patterns, name):
+    for hoist in (True, False):
+        for pattern in patterns:
+            plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+            expected = outcome(reference_evaluate_sim, ast, loops, pattern, plan, costs)
+            assert outcome(evaluate_sim, ast, loops, pattern, plan, costs) == expected, (
+                name, pattern.as_string(), hoist)
+
+
+def programs_with_costs(tmp_path):
+    """(name, source, costs): the corpus programs with a cost file and the
+    seed-1 sim-search and verify-heavy benchmark programs with theirs."""
+    for path in corpus_programs():
+        costs = CORPUS / f"{path.stem}_costs.json"
+        if costs.exists():
+            yield path.name, path.read_text(encoding="utf-8"), CostAnnotations.load(costs)
+    for workload in ("sim-search", "verify-heavy"):
+        for program, costs in sim_benchmark_programs(workload, tmp_path / workload):
+            yield f"{workload}/{program.name}", program.source, costs
+
+
+def test_sim_measurements_match_the_per_pattern_model_bit_for_bit(tmp_path):
+    checked = 0
+    for name, source, costs in programs_with_costs(tmp_path):
+        ast = parse_program(source)
+        loops = extract_loops(ast)
+        patterns = sample_patterns(loops, 50, random.Random(name))
+        assert_same_outcomes(ast, loops, costs, patterns, name)
+        checked += 1
+    assert checked == 3 + 8 + 3
+
+
+def test_concurrent_evaluation_matches_serial():
+    # GA workers share one loop table and cost annotations, so they fill
+    # their sim terms at once
+    ast, loops = build(read_corpus("g10.mc"))
+    costs = CostAnnotations.load(CORPUS / "g10_costs.json")
+    patterns = sample_patterns(loops, 300, random.Random(4))
+    plans = [plan_transfers(ast, loops, p) for p in patterns]
+    serial = [repr(evaluate_sim(ast, loops, p, plan, costs))
+              for p, plan in zip(patterns, plans)]
+    ast, shared = build(read_corpus("g10.mc"))
+    plans = [plan_transfers(ast, shared, p) for p in patterns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(evaluate_sim, ast, shared, p, plan, costs)
+                       for p, plan in zip(patterns, plans)]
+            concurrent = [repr(f.result(timeout=60)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+
+
+def test_sim_terms_do_not_keep_a_loop_table_alive():
+    # a stored error's traceback would hold the table its term belongs to
+    ast, loops = build(UNKNOWN_TRIP)
+    pattern = OffloadPattern((0, 0))
+    with pytest.raises(CostModelError):
+        evaluate_sim(ast, loops, pattern, plan_transfers(ast, loops, pattern),
+                     CostAnnotations(default_work=10.0))
+    table = weakref.ref(loops)
+    del loops
+    gc.collect()
+    assert table() is None
+
+
+UNKNOWN_TRIP = ("int m; float x; float y; int i; int j; m = 3; "
+                "for(i=0;i<4;i++){ y = y + 1.0; } "
+                "for(i=0;i<4;i++){ for(j=0;j<m;j++){ x = x + 1.0; } }")
+
+
+@pytest.mark.parametrize("costs", [
+    # the inner loop carries work without a static trip count: an error
+    # for the patterns that leave it on the host or offload its region
+    CostAnnotations(default_work=10.0),
+    CostAnnotations(work={20: 5.0}, default_work=0.0),
+    # an eligible loop without a work annotation
+    CostAnnotations(work={8: 5.0, 20: 0.0}),
+    CostAnnotations(work={8: 5.0, 16: 1.0, 20: 5.0},
+                    fault_patterns=frozenset({"10", "11"})),
+], ids=["trip-default-work", "trip-one-loop", "missing-annotation", "fault-patterns"])
+def test_sim_errors_match_the_per_pattern_model(costs):
+    ast = parse_program(UNKNOWN_TRIP)
+    loops = extract_loops(ast)
+    assert loops.eligible_ids() == (8, 16)  # 20, inside 16, has no trip count
+    patterns = [OffloadPattern(bits) for bits in itertools.product((0, 1), repeat=2)]
+    assert_same_outcomes(ast, loops, costs, patterns, "unknown-trip")
+
+
+def test_unknown_trip_fails_only_the_patterns_that_use_its_term():
+    ast = parse_program(UNKNOWN_TRIP)
+    loops = extract_loops(ast)
+    costs = CostAnnotations(work={8: 5.0, 16: 0.0, 20: 5.0})
+    results = {}
+    for bits in itertools.product((0, 1), repeat=2):
+        pattern = OffloadPattern(bits)
+        plan = plan_transfers(ast, loops, pattern)
+        results[bits] = outcome(evaluate_sim, ast, loops, pattern, plan, costs)
+    host = ("CostModelError", "host loop 20 has work but no static trip count")
+    region = ("CostModelError", "loop 20 in region 16 has no static trip count")
+    assert results[0, 0] == results[1, 0] == host
+    assert results[0, 1] == results[1, 1] == region
+    costs = CostAnnotations(work={8: 5.0, 16: 0.0, 20: 0.0})
+    pattern = OffloadPattern((1, 0))
+    plan = plan_transfers(ast, loops, pattern)
+    assert evaluate_sim(ast, loops, pattern, plan, costs).valid

@@ -1,12 +1,14 @@
 """GA search tests against brute-force enumeration oracles."""
 
 import itertools
+import json
+import math
 import random
 
 import pytest
 
 from offload_planner import ga
-from offload_planner.evaluation import CostAnnotations, Measurement, evaluate_sim
+from offload_planner.evaluation import CostAnnotations, Measurement, _sim_terms, evaluate_sim
 from offload_planner.ga import (
     GaConfig,
     Individual,
@@ -22,7 +24,7 @@ from offload_planner.offload import (
     validate_pattern,
 )
 
-from conftest import read_corpus
+from conftest import corpus_programs, read_corpus, sim_benchmark_programs
 
 
 def sim_evaluator(ast, loops, costs):
@@ -214,3 +216,91 @@ def test_invalid_patterns_get_zero_fitness_and_never_win():
         result = run_ga(loops, evaluator, GaConfig(seed=seed))
         assert validate_pattern(result.best.pattern, loops) is None
         assert result.best.fitness > 0.0
+
+
+# -- the exact optimum of the region-additive sim cost ----------------------
+
+def dp_optimum(ast, loops, costs):
+    """(total time, pattern) of the sim optimum, from one bottom-up pass
+    over the loop tree: a loop's best cost is the cheaper of offloading it
+    whole, when eligible, and keeping it on the host with each child at its
+    best. Exact because the sim cost adds up per host loop and per region,
+    and a region's transfer ops do not depend on the other regions."""
+    terms = _sim_terms(loops, costs)
+    host = dict(terms.host)
+    ids = loops.eligible_ids()
+    children = {}
+    for info in loops:
+        children.setdefault(info.parent_loop, []).append(info.loop_id)
+
+    def region(root):
+        alone = OffloadPattern(tuple(int(x == root) for x in ids))
+        ops = plan_transfers(ast, loops, alone).ops
+        return terms.region[root] + sum(
+            terms.entries[op.anchor_loop] * (costs.latency + op.bytes / costs.bandwidth)
+            for op in ops)
+
+    def best(lid):
+        cost, roots = host.get(lid, 0.0), []
+        for child in children.get(lid, ()):
+            child_cost, child_roots = best(child)
+            cost += child_cost
+            roots += child_roots
+        if loops.by_id[lid].eligible and region(lid) < cost:
+            return region(lid), [lid]
+        return cost, roots
+
+    total, roots = 0.0, []
+    for top in children.get(None, ()):
+        cost, top_roots = best(top)
+        total += cost
+        roots += top_roots
+    return total, OffloadPattern(tuple(int(x in roots) for x in ids))
+
+
+def corpus_instances():
+    """Every corpus program with its cost file, or with a default work
+    per loop (none on loops whose entry or trip count is unknown)."""
+    for path in corpus_programs():
+        ast = parse_program(path.read_text(encoding="utf-8"))
+        loops = extract_loops(ast)
+        costs_path = path.with_name(f"{path.stem}_costs.json")
+        if costs_path.exists():
+            costs = CostAnnotations.load(costs_path)
+        else:
+            costs = CostAnnotations(
+                work={info.loop_id: 0.0 for info in loops
+                      if info.trip_count is None or loops.exec_count(info.loop_id) is None},
+                default_work=1000.0)
+        yield path.name, ast, loops, costs
+
+
+def test_dp_optimum_equals_the_exhaustive_optimum():
+    checked = 0
+    for name, ast, loops, costs in corpus_instances():
+        if loops.gene_length() > 16:
+            continue
+        evaluate = sim_evaluator(ast, loops, costs)
+        exhaustive = min(
+            evaluate(pattern).t_total
+            for pattern in map(OffloadPattern, itertools.product((0, 1), repeat=loops.gene_length()))
+            if validate_pattern(pattern, loops) is None)
+        value, pattern = dp_optimum(ast, loops, costs)
+        assert math.isclose(value, exhaustive, rel_tol=1e-12), name
+        assert validate_pattern(pattern, loops) is None
+        assert math.isclose(evaluate(pattern).t_total, value, rel_tol=1e-12), name
+        checked += 1
+    assert checked == len(corpus_programs())
+
+
+def test_no_ga_result_beats_the_dp_optimum(tmp_path):
+    for program, costs in sim_benchmark_programs("sim-search", tmp_path):
+        ast = parse_program(program.source)
+        loops = extract_loops(ast)
+        assert loops.gene_length() == 40
+        value, pattern = dp_optimum(ast, loops, costs)
+        evaluate = sim_evaluator(ast, loops, costs)
+        assert math.isclose(evaluate(pattern).t_total, value, rel_tol=1e-12)
+        config = json.loads((tmp_path / program.name / "config.json").read_text())
+        result = run_ga(loops, evaluate, GaConfig.from_json(config["ga"]))
+        assert result.best.measurement.t_total >= value * (1 - 1e-12), program.name

@@ -5,6 +5,8 @@ import json
 import math
 import random
 
+import pytest
+
 from offload_planner.minic import extract_loops, loops_in, parse_program
 from offload_planner.minic.astnodes import Assign, Block, CallStmt, ForLoop
 
@@ -236,3 +238,50 @@ def test_random_flat_programs_def_use_property():
         defs, uses = reference_def_use(loop)
         assert set(table.infos[0].defs) == defs
         assert set(table.infos[0].uses) == uses
+
+
+@pytest.mark.parametrize("src, outer_must, inner_must", [
+    ("float a[8]; int i; for(i=0;i<8;i++){ a[i] = 1.0; }", True, None),
+    ("float a[8]; int i; for(i=0;i<=7;i++){ a[i] = 1.0; }", True, None),
+    ("int n = 8; float a[8]; int i; for(i=0;i<n;i++){ a[i] = 1.0; }", True, None),
+    ("float a[8]; int i; for(i=1;i<9;i++){ a[i - 1] = 1.0; }", True, None),
+    ("float a[8]; int i; for(i=0;i<16;i+=2){ a[i / 2] = 1.0; }", True, None),
+    ("float a[1]; int i; for(i=0;i<3;i++){ a[0] = 1.0; }", True, None),
+    # a partial write: too few iterations, an offset, a stride, a
+    # non-integer step of the index, an index the body rewrites, an
+    # unknown trip count, or an index read from memory
+    ("float a[8]; int i; for(i=0;i<4;i++){ a[i] = 1.0; }", False, None),
+    ("float a[8]; int i; for(i=1;i<8;i++){ a[i] = 1.0; }", False, None),
+    ("float a[8]; int i; for(i=0;i<8;i++){ a[i / 2] = 1.0; }", False, None),
+    ("float a[8]; int i; for(i=0;i<8;i++){ a[(i * 0.5) * 2] = 1.0; }", False, None),
+    ("float a[8]; int i; for(i=0;i<8;i++){ a[i] = 1.0; i = i + 0; }", False, None),
+    ("float a[8]; int i; int m; m = 8; for(i=0;i<m;i++){ a[i] = 1.0; }", False, None),
+    ("float a[8]; float b[8]; int i; for(i=0;i<8;i++){ a[b[i]] = 1.0; }", False, None),
+    # nests: the loop whose iterations cover the array decides
+    ("float g[12]; int i; int j; "
+     "for(i=0;i<3;i++){ for(j=0;j<4;j++){ g[i * 4 + j] = 1.0; } }", True, False),
+    ("float g[4]; int i; int j; "
+     "for(i=0;i<3;i++){ for(j=0;j<4;j++){ g[j] = 1.0; } }", True, True),
+    ("float g[12]; int i; int j; "
+     "for(i=0;i<3;i++){ for(j=0;j<4;j++){ g[i * 3 + j] = 1.0; } }", False, False),
+    ("int n = 0; float g[12]; int i; int j; "
+     "for(i=0;i<12;i++){ for(j=0;j<n;j++){ g[i] = 1.0; } }", False, False),
+])
+def test_element_stores_must_write_an_array_only_where_they_cover_it(
+        src, outer_must, inner_must):
+    table = extract_loops(parse_program(src))
+    outer = table.infos[0]
+    written = "g" if "g[" in src else "a"
+    assert (written in outer.must) is outer_must
+    if inner_must is not None:
+        assert (written in table.infos[1].must) is inner_must
+
+
+def test_must_holds_header_writes_and_scalar_stores():
+    table = extract_loops(parse_program(
+        "int n = 0; float x; float y; int i; int j; "
+        "for(i=0;i<4;i++){ y = 1.0; for(j=0;j<n;j++){ x = 1.0; } }"))
+    outer, inner = table.infos
+    # the inner loop may run zero times: its stores are not sure for the outer
+    assert outer.must == {"i", "j", "y"}
+    assert inner.must == {"j", "x"}

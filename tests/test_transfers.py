@@ -14,9 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from offload_planner.minic import extract_loops, parse_program
+from offload_planner.evaluation import Measurement
+from offload_planner.minic import extract_loops, interpret, parse_program
 from offload_planner.minic.astnodes import Block, ForLoop, VarDecl, accesses, children
 from offload_planner.minic.interp import Machine
+from offload_planner.planner import Allocation
+from offload_planner.verify import TestCase, run_verification
 from offload_planner.offload import (
     DEVICE_TO_HOST,
     HOST_TO_DEVICE,
@@ -425,3 +428,66 @@ def test_plans_match_reference_planner():
                                  for op in reference[root])
                 plan = plan_transfers(ast, loops, pattern, hoist=hoist)
                 assert plan.ops == expected, (name, pattern.as_string(), hoist)
+
+
+PARTIAL = ("float a[8]; float b[8]; float s; int i = 0; "
+           "for(i=0;i<8;i++){ b[i] = i * 1.5; } "
+           "for(i=0;i<4;i++){ a[i] = b[i] * 2.0; } "
+           "for(i=0;i<8;i++){ s = s + a[i]; }")
+
+
+def test_verify_passes_a_region_that_writes_part_of_an_array(tmp_path):
+    # a[4..7] keep the host's values only if a goes in before the region
+    source = tmp_path / "partial.mc"
+    source.write_text(PARTIAL, encoding="utf-8")
+    cases = [TestCase(name=str(bits), kind="performance", source=str(source),
+                      pattern=bits, baseline=str(source))
+             for bits in ((0, 1, 0), (0, 1, 1))]
+    report = run_verification(Allocation(1, 1, 5000.0, True),
+                              Measurement(2.0, 1.0, 1.0, True), cases, {}, [])
+    assert [(row.diff_passed, row.note) for row in report.performance] == [(True, None)] * 2
+    ast = parse_program(PARTIAL)
+    loops = extract_loops(ast)
+    ops = plan_transfers(ast, loops, OffloadPattern((0, 1, 0))).ops
+    assert [(op.var, op.direction) for op in ops] == [
+        ("a", HOST_TO_DEVICE), ("b", HOST_TO_DEVICE), ("a", DEVICE_TO_HOST)]
+
+
+ROWS = ("float g[6]; float t; int i = 0; int j = 0; "
+        "for(i=0;i<2;i++){ for(j=0;j<3;j++){ g[i * 3 + j] = i + j; } } t = g[5];")
+
+
+@pytest.mark.parametrize("src, bits", [
+    # the device's partly written copy reaches the host at the teardown flush
+    ("float a[8]; float b[8]; int i = 0; for(i=0;i<8;i++){ b[i] = i; } "
+     "for(i=0;i<4;i++){ a[i] = b[i] * 2.0; }", (1, 1)),
+    # x is stored only in a loop that runs zero times
+    ("int n = 0; float x; float y; int i = 0; int j = 0; "
+     "for(i=0;i<4;i++){ for(j=0;j<n;j++){ x = 1.0; } } y = x;", (1,)),
+    # a[3] is read before the iteration that stores it
+    ("float a[4]; float s; int i = 0; "
+     "for(i=0;i<4;i++){ a[i] = 1.0; s = s + a[3]; }", (1,)),
+    # each region execution stores one row of g
+    (ROWS, (0, 1)),
+])
+def test_values_a_region_may_leave_partly_unwritten_are_copied_in(src, bits):
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern(bits)
+    for hoist in (True, False):
+        plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+        assert simulate_with_plan(ast, loops, pattern, plan).outputs == interpret(ast)
+
+
+def test_rows_that_add_up_to_the_array_before_its_copyout_need_no_copyin():
+    ast = parse_program(ROWS)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((0, 1))
+    outer = loops.infos[0].loop_id
+    hoisted = plan_transfers(ast, loops, pattern).ops
+    assert [(op.var, op.direction, op.anchor_loop) for op in hoisted
+            if op.var == "g"] == [("g", DEVICE_TO_HOST, outer)]
+    # unhoisted, g goes out after every row, so it must go in first
+    unhoisted = plan_transfers(ast, loops, pattern, hoist=False).ops
+    assert [(op.var, op.direction) for op in unhoisted if op.var == "g"] == [
+        ("g", HOST_TO_DEVICE), ("g", DEVICE_TO_HOST)]
