@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .evaluation import (
+    DEFAULT_TIMEOUT,
     CostAnnotations,
     CostModelError,
     Measurement,
@@ -81,7 +83,7 @@ class PipelineConfig:
     tolerance: ToleranceSpec
     output_dir: Path
     workers: int = 1
-    timeout: float = 300.0
+    timeout: float = DEFAULT_TIMEOUT
 
 
 def load_config(path) -> PipelineConfig:
@@ -126,7 +128,7 @@ def load_config(path) -> PipelineConfig:
         tolerance=ToleranceSpec.from_json(raw.get("tolerance", {})),
         output_dir=base / raw.get("output_dir", "out"),
         workers=int(raw.get("workers", 1)),
-        timeout=float(raw.get("timeout", 300.0)),
+        timeout=float(raw.get("timeout", DEFAULT_TIMEOUT)),
     )
 
 
@@ -184,17 +186,11 @@ def make_evaluator(ast, loops, backend: str, costs: CostAnnotations | None,
     def external_eval(pattern: OffloadPattern) -> Measurement:
         plan = plan_transfers(ast, loops, pattern)
         text = emit_annotated(ast, pattern, plan, loops)
-        fd, src_name = tempfile.mkstemp(suffix=".acc.mc", dir=workdir)
-        os.close(fd)
-        fd, pat_name = tempfile.mkstemp(suffix=".pattern.json", dir=workdir)
-        os.close(fd)
-        try:
-            _write_text(Path(src_name), text)
-            save_pattern(pat_name, pattern, loops)
-            return evaluate_external(command, src_name, pat_name, timeout=timeout)
-        finally:
-            os.unlink(src_name)
-            os.unlink(pat_name)
+        with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+            src, pat = Path(tmp) / "source.acc.mc", Path(tmp) / "pattern.json"
+            _write_text(src, text)
+            save_pattern(pat, pattern, loops)
+            return evaluate_external(command, src, pat, timeout=timeout)
 
     return external_eval
 
@@ -202,7 +198,7 @@ def make_evaluator(ast, loops, backend: str, costs: CostAnnotations | None,
 def stage_search(ast, loops: LoopTable, costs: CostAnnotations | None,
                  name: str, outdir: Path, backend: str, command: str | None,
                  ga: GaConfig, workers: int = 1,
-                 timeout: float = 300.0) -> SearchResult:
+                 timeout: float = DEFAULT_TIMEOUT) -> SearchResult:
     evaluator = make_evaluator(ast, loops, backend, costs, command, outdir, timeout)
     result = run_ga(loops, evaluator, ga, workers=workers)
     m = result.best.measurement
@@ -222,23 +218,23 @@ def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
                outdir: Path) -> Allocation:
     """Size the allocation and write plan.json. A zero CPU part with a
     positive device part (every loop that carries work offloaded) has no
-    ratio: its ratio is recorded as 0:1 and sized by plan_device_bound."""
-    if t_cpu == 0 and t_dev > 0:
+    ratio: its ratio is recorded as 0:1 and sized by plan_device_bound.
+    compute_ratio rejects a time that is not finite."""
+    if t_cpu == 0 and 0 < t_dev < math.inf:
         allocation = plan_device_bound(prices, budget)
         ratio_json = {"cpu": 0, "dev": 1}
     else:
         ratio = compute_ratio(t_cpu, t_dev)
         allocation = plan_amount(ratio, prices, budget)
         ratio_json = (None if isinstance(ratio, CpuOnly)
-                      else {"cpu": ratio.cpu, "dev": ratio.dev})
+                      else asdict(ratio))
     _write_json(outdir / "plan.json", {
         "ratio": ratio_json,
         "allocation": allocation.to_json(),
         "inputs": {
             "t_cpu": t_cpu,
             "t_dev": t_dev,
-            "prices": {"cpu_unit_price": prices.cpu_unit_price,
-                       "dev_unit_price": prices.dev_unit_price},
+            "prices": asdict(prices),
             "budget": budget,
         },
     })
@@ -248,7 +244,7 @@ def stage_plan(t_cpu: float, t_dev: float, prices: PriceBook, budget: float,
 def stage_verify(allocation: Allocation, t_cpu: float, t_dev: float,
                  tests: list, registry: dict, components: list,
                  outdir: Path, tolerance: ToleranceSpec | None = None,
-                 timeout: float = 300.0, analyzed: tuple | None = None) -> int:
+                 timeout: float = DEFAULT_TIMEOUT, analyzed: tuple | None = None) -> int:
     """Run verification, write report.json and report.txt and print the
     report. ``analyzed`` is the (path, ast, loop table) of a program already
     loaded, which the sim cases naming that file reuse."""
@@ -326,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ga", default=None, metavar="k=v,...",
                    help="GA parameter overrides")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("-o", "--output-dir", default="out")
 
     p = sub.add_parser("plan", help="derive the resource ratio and size the allocation")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", default=None,
                    help="comma-separated declared components "
                         "(default: all registry entries)")
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("-o", "--output-dir", default="out")
 
     p = sub.add_parser("run-all", help="run the whole pipeline from a config file")

@@ -13,7 +13,7 @@ import shlex
 import struct
 import subprocess
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .minic.loops import LoopTable
 from .offload import OffloadPattern, TransferPlan, offloaded_ids
@@ -66,17 +66,11 @@ class Measurement:
                            valid=False, note=note)
 
     def to_json(self) -> dict:
-        def enc(v):
-            return "INFINITE_TIME" if isinstance(v, _InfiniteTime) else v
-
-        data = {
-            "t_total": enc(self.t_total),
-            "t_cpu_part": enc(self.t_cpu_part),
-            "t_dev_part": enc(self.t_dev_part),
-            "valid": self.valid,
-        }
-        if self.note is not None:
-            data["note"] = self.note
+        # asdict copies the INFINITE_TIME sentinel: tell it by its type
+        data = {key: "INFINITE_TIME" if isinstance(value, _InfiniteTime) else value
+                for key, value in asdict(self).items()}
+        if self.note is None:
+            del data["note"]
         return data
 
 
@@ -188,13 +182,19 @@ def _region_cost(loops: LoopTable, costs: CostAnnotations, root: int) -> float:
     return _entries(loops, root) * kernel
 
 
-def _term(cost, *args):
+def _term(name: str, cost, *args):
     """cost(*args), or the cost model error it raises, kept without its
-    traceback (whose frames would hold the loop table)."""
+    traceback (whose frames would hold the loop table). A cost that is not
+    a finite binary64 is a CostModelError naming it."""
     try:
-        return cost(*args)
+        value = cost(*args)
+        if value is None or math.isfinite(value):
+            return value
+    except OverflowError:  # an integer too large for a float
+        pass
     except (CostModelError, MissingAnnotation) as exc:
         return exc.with_traceback(None)
+    return CostModelError(f"{name} is not a finite binary64")
 
 
 @dataclass(frozen=True)
@@ -205,28 +205,28 @@ class _SimTerms:
     host: tuple      # (loop id, host cost) in table order, loops with work
     region: dict     # eligible loop id -> kernel cost of the region rooted there
     entries: dict    # loop id -> how many times the loop is entered
-    members: dict    # eligible loop id -> the loop ids of its region
 
 
-# loop table -> {id(costs): (costs, terms)}. Cost annotations are frozen, so
-# their terms stay valid; holding them keeps their id from being reused. Two
-# threads may fill an entry at once; both compute equal terms, so either
-# write may win.
+# loop table -> (cost annotations, their terms); other annotations replace
+# the entry. Cost annotations are frozen, so their terms stay valid. Two
+# threads may fill the entry at once; each returns the terms it computed.
 _SIM_TERMS = weakref.WeakKeyDictionary()
 
 
 def _sim_terms(loops: LoopTable, costs: CostAnnotations) -> _SimTerms:
-    memo = _SIM_TERMS.setdefault(loops, {})
-    entry = memo.get(id(costs))
-    if entry is None:
-        eligible = loops.eligible_ids()
-        host = ((info.loop_id, _term(_host_cost, loops, costs, info)) for info in loops)
+    entry = _SIM_TERMS.get(loops)
+    if entry is None or entry[0] is not costs:
+        host = ((info.loop_id, _term(f"host cost of loop {info.loop_id}",
+                                     _host_cost, loops, costs, info))
+                for info in loops)
         terms = _SimTerms(
             host=tuple((lid, term) for lid, term in host if term is not None),
-            region={root: _term(_region_cost, loops, costs, root) for root in eligible},
-            entries={lid: _term(_entries, loops, lid) for lid in loops.by_id},
-            members={root: frozenset(loops.subtree_ids(root)) for root in eligible})
-        entry = memo[id(costs)] = (costs, terms)
+            region={root: _term(f"kernel cost of region {root}",
+                                _region_cost, loops, costs, root)
+                    for root in loops.eligible_ids()},
+            entries={lid: _term(f"entry count of loop {lid}", _entries, loops, lid)
+                     for lid in loops.by_id})
+        entry = _SIM_TERMS[loops] = (costs, terms)
     return entry[1]
 
 
@@ -250,14 +250,15 @@ def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
     computed once per loop table and cost annotations, and a pattern only
     sums its terms, host loops in table order, then its regions, then the
     plan's ops. A term that cannot be computed (a loop with work but no
-    static trip count, an eligible loop with no work annotation) raises
-    its CostModelError or MissingAnnotation for the patterns that use it.
+    static trip count, an eligible loop with no work annotation, a cost
+    that is not a finite binary64) raises its CostModelError or
+    MissingAnnotation for the patterns that use it.
     """
     if costs.fault_patterns and pattern.as_string() in costs.fault_patterns:
         return Measurement.invalid("fault injected by configuration")
     terms = _sim_terms(loops, costs)
     roots = offloaded_ids(pattern, loops)
-    members = set().union(*(terms.members[root] for root in roots))
+    members = set().union(*(loops.subtree_ids(root) for root in roots))
 
     t_cpu = 0.0
     for lid, term in terms.host:
@@ -294,11 +295,13 @@ def run_command(argv: list, timeout: float) -> tuple[int | None, str, str | None
 def evaluate_external(cmd_template: str, source_path, pattern_path,
                       timeout: float = DEFAULT_TIMEOUT) -> Measurement:
     """Run a measurement command; its final stdout line must read
-    `t_total t_cpu_part t_dev_part valid`. Any failing outcome (nonzero
-    exit, bad output, timeout) is an invalid measurement; only a command
-    that cannot start raises SpawnError."""
-    cmd = cmd_template.format(src=source_path, pattern=pattern_path)
-    argv = shlex.split(cmd)
+    `t_total t_cpu_part t_dev_part valid`. The template is split into
+    arguments first, then the {src} and {pattern} slots are filled in each
+    argument, so a path with spaces stays one argument. Any failing outcome
+    (nonzero exit, bad output, timeout) is an invalid measurement; only a
+    command that cannot start raises SpawnError."""
+    argv = [arg.format(src=source_path, pattern=pattern_path)
+            for arg in shlex.split(cmd_template)]
     if not argv:
         raise SpawnError("empty measurement command")
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .evaluation import Measurement
 from .minic.loops import LoopTable
@@ -43,25 +43,13 @@ class GaConfig:
             raise ValueError("elite_count must be in [0, population_size)")
 
     def to_json(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "crossover_rate": self.crossover_rate,
-            "mutation_rate_per_bit": self.mutation_rate_per_bit,
-            "elite_count": self.elite_count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(data: dict) -> "GaConfig":
-        return GaConfig(
-            population_size=int(data.get("population_size", 16)),
-            generations=int(data.get("generations", 20)),
-            crossover_rate=float(data.get("crossover_rate", 0.9)),
-            mutation_rate_per_bit=float(data.get("mutation_rate_per_bit", 0.05)),
-            elite_count=int(data.get("elite_count", 1)),
-            seed=int(data.get("seed", 0)),
-        )
+        """Each field present in ``data``, converted to its default's type."""
+        return GaConfig(**{f.name: type(f.default)(data[f.name])
+                           for f in fields(GaConfig) if f.name in data})
 
 
 @dataclass

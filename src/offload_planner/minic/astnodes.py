@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 INTRINSICS = ("sin", "cos", "sqrt")
 ELEM_WIDTH = 8  # bytes per scalar / array element (binary64)
+EXACT = 2 ** 53  # binary64 holds every integer of smaller magnitude
 
 
 def _meta(default=None):

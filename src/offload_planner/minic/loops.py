@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .astnodes import (
+    EXACT,
     Assign,
     BinOp,
     Block,
@@ -169,6 +170,7 @@ def extract_loops(ast: Program) -> LoopTable:
     pending: dict[int, dict] = {}  # loop id -> LoopInfo fields but after
     enclosing: list = []   # the loops around the statement visited, outermost first
     cells: dict = {}       # element store id -> (array, index, enclosing loops)
+    calls: list = []       # names of the unknown calls visited, in source order
     # loop id -> (start, step, trip) of each loop whose header alone steps
     # its index, through integers
     driven: dict = {}
@@ -202,6 +204,7 @@ def extract_loops(ast: Program) -> LoopTable:
         """Summary of a loop-free statement: it reads its operands, then
         stores."""
         reads, assigned, _ = accesses(stmt)
+        calls.extend(_unknown_calls(stmt))
         must = assigned
         if isinstance(stmt, Assign) and stmt.index is not None:
             cells[stmt.node_id] = (stmt.name, stmt.index, tuple(enclosing))
@@ -225,6 +228,8 @@ def extract_loops(ast: Program) -> LoopTable:
         test_reads = accesses(node.bound)[0] | {node.cond_var, node.step_var}
         header_reads = init_reads | test_reads
         header_writes = {node.var, node.step_var}
+        first_call = len(calls)
+        calls.extend(_unknown_calls(node.init, node.bound))
         enclosing.append(node)
         reads, assigned, writes, exposed, must = scope(
             (node.body,), node.node_id, depth + 1, (header_reads, header_writes))
@@ -237,9 +242,8 @@ def extract_loops(ast: Program) -> LoopTable:
         elif trip is None:
             reason = "bounds not statically evaluable or trip count not positive"
         else:
-            unknown = _first_unknown_call(node)
-            if unknown is not None:
-                reason = f"unknown call '{unknown}' in loop body"
+            if len(calls) > first_call:
+                reason = f"unknown call '{calls[first_call]}' in loop body"
             elif node.var in writes:  # a nested header re-driving it, too
                 reason = f"index variable '{node.var}' assigned in loop body"
             start = _fold(node.init, consts)
@@ -271,15 +275,12 @@ def _flatten(stmts):
             yield stmt
 
 
-_EXACT = 2 ** 53  # binary64 holds every integer of smaller magnitude
-
-
 def _affine(expr, consts: dict, counters: dict):
     """``expr`` as (c, {var: k}), the value c + sum of k * t over the
     iteration counters t of the loops driving its variables; ``counters``
     maps each variable to its loop's (start, step, trip), None when no
     header alone drives it. None unless c and every k are integers and
-    every subexpression takes only integer values below _EXACT, which
+    every subexpression takes only integer values below EXACT, which
     binary64 arithmetic computes exactly."""
     if isinstance(expr, Num) or (isinstance(expr, Var) and expr.name in consts):
         value = expr.value if isinstance(expr, Num) else consts[expr.name]
@@ -314,7 +315,7 @@ def _affine(expr, consts: dict, counters: dict):
     else:
         return None
     c, k = form
-    if abs(c) + sum(abs(x) * (counters[var][2] - 1) for var, x in k.items()) >= _EXACT:
+    if abs(c) + sum(abs(x) * (counters[var][2] - 1) for var, x in k.items()) >= EXACT:
         return None
     return form
 
@@ -333,11 +334,10 @@ def _covers(form, counters: dict, size: int | None) -> bool:
     return c == 0 and reach == size
 
 
-def _first_unknown_call(loop: ForLoop) -> str | None:
-    for node in walk(loop):
-        if isinstance(node, (Call, CallStmt)) and not node.intrinsic:
-            return node.name
-    return None
+def _unknown_calls(*nodes) -> list:
+    """Names of the unknown calls in the nodes' subtrees, in source order."""
+    return [n.name for node in nodes for n in walk(node)
+            if isinstance(n, (Call, CallStmt)) and not n.intrinsic]
 
 
 def _single_assignment_constants(ast: Program) -> dict:
@@ -371,7 +371,7 @@ def static_trip_count(loop: ForLoop, consts) -> int | None:
         return None
     start = _fold(loop.init, consts)
     bound = _fold(loop.bound, consts)
-    if start is None or bound is None:
+    if start is None or bound is None or not math.isfinite(bound - start):
         return None
     if loop.op == "<":
         trips = math.ceil((bound - start) / loop.step) if bound > start else 0

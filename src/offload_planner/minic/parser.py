@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 
 from .astnodes import (
+    EXACT,
     Assign,
     BinOp,
     Block,
@@ -36,6 +37,7 @@ from .astnodes import (
 )
 
 KEYWORDS = ("int", "float", "for")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators
 
 _TOKEN_RE = re.compile(
     r"""
@@ -155,8 +157,9 @@ class _Parser:
         if self.peek().kind == "[":
             self.advance()
             size_tok = self.expect("num")
-            if "." in size_tok.text or int(size_tok.text) <= 0:
-                raise ParseError("array size must be a positive integer",
+            # indices are binary64, exact only below EXACT; steps are bounded alike
+            if "." in size_tok.text or not 0 < int(size_tok.text) < EXACT:
+                raise ParseError("array size must be a positive integer below 2^53",
                                  size_tok.line, size_tok.col)
             size = int(size_tok.text)
             self.expect("]")
@@ -246,8 +249,8 @@ class _Parser:
         elif self.peek().kind == "+=":
             self.advance()
             step_num = self.expect("num")
-            if "." in step_num.text:
-                raise ParseError("step must be an integer literal",
+            if "." in step_num.text or int(step_num.text) >= EXACT:
+                raise ParseError("step must be an integer literal below 2^53",
                                  step_num.line, step_num.col)
             step = int(step_num.text)
         else:
@@ -265,20 +268,14 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = BinOp(node_id=self.new_id(), line=op.line, col=op.col,
-                         op=op.kind, left=node, right=right)
-        return node
-
-    def term(self) -> Node:
+    def expr(self, min_precedence: int = 1) -> Node:
+        """Factors joined by left-associative operators that bind at least
+        as tightly as ``min_precedence`` (the grammar's expr and term); a
+        BinOp's id follows its operands' ids."""
         node = self.factor()
-        while self.peek().kind in ("*", "/"):
+        while _PRECEDENCE.get(self.peek().kind, 0) >= min_precedence:
             op = self.advance()
-            right = self.factor()
+            right = self.expr(_PRECEDENCE[op.kind] + 1)
             node = BinOp(node_id=self.new_id(), line=op.line, col=op.col,
                          op=op.kind, left=node, right=right)
         return node

@@ -113,15 +113,16 @@ class TransferOp:
 
 @dataclass(frozen=True)
 class TransferPlan:
+    """A pattern's transfer ops, region by region; by_anchor groups them."""
+
     ops: tuple
 
-    def before(self, loop_id: int) -> list[TransferOp]:
-        return [op for op in self.ops
-                if op.anchor_loop == loop_id and op.position == "before"]
-
-    def after(self, loop_id: int) -> list[TransferOp]:
-        return [op for op in self.ops
-                if op.anchor_loop == loop_id and op.position == "after"]
+    def by_anchor(self) -> dict:
+        """(anchor loop, position) -> the ops fired there, in plan order."""
+        groups: dict = {}
+        for op in self.ops:
+            groups.setdefault((op.anchor_loop, op.position), []).append(op)
+        return groups
 
     def for_var(self, var: str) -> list[TransferOp]:
         return [op for op in self.ops if op.var == var]
@@ -203,25 +204,26 @@ PRAGMA_PREFIX = "#pragma"
 
 def emit_annotated(ast: Program, pattern: OffloadPattern, plan: TransferPlan,
                    loops: LoopTable) -> str:
-    """Insert copyin/kernels/copyout directive lines into the original
-    source. Stripping lines that begin with #pragma recovers the input
-    byte-for-byte."""
+    """Insert copyin/kernels/copyout directive lines, each anchor loop's ops
+    (TransferPlan.by_anchor) before or after it, into the original source.
+    Stripping lines that begin with #pragma recovers the input byte-for-byte."""
     roots = set(offloaded_ids(pattern, loops))
+    groups = plan.by_anchor()
     before: dict[int, list[str]] = {}
     after: dict[int, list[str]] = {}
-    anchored = sorted({op.anchor_loop for op in plan.ops} | roots)
+    anchored = sorted({lid for lid, _ in groups} | roots)
     for lid in anchored:  # ascending id: outer loops first on shared lines
         node = loops.nodes[lid]
         lines = before.setdefault(node.line, [])
         lines.extend(f"{PRAGMA_PREFIX} acc data copyin({op.var})"
-                     for op in plan.before(lid))
+                     for op in groups.get((lid, "before"), ()))
         if lid in roots:
             lines.append(f"{PRAGMA_PREFIX} acc kernels")
     for lid in reversed(anchored):  # inner loops exit first
         node = loops.nodes[lid]
         lines = after.setdefault(node.end_line, [])
         lines.extend(f"{PRAGMA_PREFIX} acc data copyout({op.var})"
-                     for op in plan.after(lid))
+                     for op in groups.get((lid, "after"), ()))
     out = []
     for lineno, text in enumerate(ast.source.split("\n"), start=1):
         out.extend(before.get(lineno, ()))
@@ -253,14 +255,13 @@ def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     if reason is not None:
         raise InvalidPattern(reason)
     op_counts: dict[TransferOp, int] = {op: 0 for op in plan.ops}
-    hooks: dict = {}  # (anchor loop, position) -> transfers in plan order
 
     def fire(op: TransferOp, machine: Machine):
         machine.transfer(op.var, op.direction == HOST_TO_DEVICE)
         op_counts[op] += 1
 
-    for op in plan.ops:
-        hooks.setdefault((op.anchor_loop, op.position), []).append(partial(fire, op))
+    hooks = {key: [partial(fire, op) for op in ops]
+             for key, ops in plan.by_anchor().items()}
     roots = [loops.nodes[lid] for lid in offloaded_ids(pattern, loops)]
     machine = Machine(roots=roots, hooks=hooks)
     machine.run(ast)

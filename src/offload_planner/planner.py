@@ -11,7 +11,7 @@ to the ratio in log space, scoring two device counts per CPU count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 class NonPositiveTime(Exception):
@@ -71,12 +71,7 @@ class Allocation:
     ratio_kept: bool
 
     def to_json(self) -> dict:
-        return {
-            "cpu_units": self.cpu_units,
-            "dev_units": self.dev_units,
-            "monthly_cost": self.monthly_cost,
-            "ratio_kept": self.ratio_kept,
-        }
+        return asdict(self)
 
 
 def round_half_up(x: float) -> int:
@@ -86,15 +81,19 @@ def round_half_up(x: float) -> int:
 def compute_ratio(t_cpu: float, t_dev: float) -> ResourceRatio | CpuOnly:
     """Coprime integer ratio from the measured time split; one side is
     always 1 by construction. t_dev = 0 means nothing was offloaded."""
+    if not (math.isfinite(t_cpu) and math.isfinite(t_dev)):
+        raise ValueError(f"times must be finite, got t_cpu={t_cpu}, t_dev={t_dev}")
     if t_cpu <= 0:
         raise NonPositiveTime(f"t_cpu must be positive, got {t_cpu}")
     if t_dev < 0:
         raise NonPositiveTime(f"t_dev must be non-negative, got {t_dev}")
     if t_dev == 0:
         return CPU_ONLY
-    if t_cpu >= t_dev:
-        return ResourceRatio(max(round_half_up(t_cpu / t_dev), 1), 1)
-    return ResourceRatio(1, max(round_half_up(t_dev / t_cpu), 1))
+    big, small = max(t_cpu, t_dev), min(t_cpu, t_dev)
+    if not math.isfinite(big / small):
+        raise ValueError(f"the time split {t_cpu}:{t_dev} has no finite ratio")
+    units = max(round_half_up(big / small), 1)
+    return ResourceRatio(units, 1) if t_cpu >= t_dev else ResourceRatio(1, units)
 
 
 def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:

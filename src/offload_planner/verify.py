@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .evaluation import (
@@ -109,15 +109,7 @@ class PerformanceRow:
     note: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "scaled_time": self.scaled_time,
-            "throughput": self.throughput,
-            "diff_passed": self.diff_passed,
-            "worst_variable": self.worst_variable,
-            "worst_deviation": self.worst_deviation,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -128,12 +120,7 @@ class RegressionRow:
     note: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,15 +134,7 @@ class VerificationReport:
     assumptions: str = SCALING_ASSUMPTION
 
     def to_json(self) -> dict:
-        return {
-            "assumptions": self.assumptions,
-            "performance": [row.to_json() for row in self.performance],
-            "regression": [row.to_json() for row in self.regression],
-            "uncovered_components": self.uncovered_components,
-            "allocation": self.allocation.to_json() if self.allocation else None,
-            "monthly_cost": self.monthly_cost,
-            "recommendation": self.recommendation,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = ["deployment verification report",

@@ -14,6 +14,10 @@ import pytest
 
 from offload_planner import cli, verify
 from offload_planner.cli import main
+from offload_planner.evaluation import Measurement
+from offload_planner.ga import GaConfig
+from offload_planner.planner import Allocation
+from offload_planner.verify import PerformanceRow, RegressionRow, VerificationReport
 from offload_planner.minic.parser import ParseError, parse_program
 from offload_planner.offload import HOST_TO_DEVICE, TransferPlan
 
@@ -275,6 +279,62 @@ def test_search_external_backend(workdir):
     assert code == 0
     search = json.loads((out / "search.json").read_text())
     assert search["best"]["measurement"]["t_total"] == 0.5
+
+
+def test_search_external_backend_under_a_spaced_output_dir(workdir):
+    # the command sees each file as one argument, in a directory whose
+    # path holds a space
+    out = workdir / "sp ace" / "out"
+    probe = ("import os, sys; ok = len(sys.argv) == 3 and all(map(os.path.isfile, "
+             "sys.argv[1:])); print(0.5, 0.25, 0.25, int(ok))")
+    code = run_cli("search", workdir / "g3.mc", "--backend", "external",
+                   "--cmd", f'{sys.executable} -c "{probe}" {{src}} {{pattern}}',
+                   "--ga", "generations=1,population_size=2", "-o", out)
+    assert code == 0
+    search = json.loads((out / "search.json").read_text())
+    assert search["best"]["measurement"]["valid"] is True
+    assert list((out / "measure").iterdir()) == []
+
+
+# Each record's JSON keys, pinned: a field added to one of these dataclasses
+# must not become an artifact key unnoticed.
+RECORD_KEYS = {
+    "performance-row": (PerformanceRow("p", 1.0, 1.0, True), {
+        "name", "scaled_time", "throughput", "diff_passed", "worst_variable",
+        "worst_deviation", "note"}),
+    "regression-row": (RegressionRow("r", True, 0), {
+        "name", "passed", "exit_code", "note"}),
+    "report": (VerificationReport(), {
+        "assumptions", "performance", "regression", "uncovered_components",
+        "allocation", "monthly_cost", "recommendation"}),
+    "allocation": (Allocation(2, 1, 6000.0, True), {
+        "cpu_units", "dev_units", "monthly_cost", "ratio_kept"}),
+    "ga-config": (GaConfig(), {
+        "population_size", "generations", "crossover_rate",
+        "mutation_rate_per_bit", "elite_count", "seed"}),
+    "measurement": (Measurement(1.5, 1.0, 0.5, True), {
+        "t_total", "t_cpu_part", "t_dev_part", "valid"}),
+    "invalid-measurement": (Measurement.invalid("why"), {
+        "t_total", "t_cpu_part", "t_dev_part", "valid", "note"}),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_KEYS)
+def test_record_json_has_exactly_its_keys(record):
+    value, keys = RECORD_KEYS[record]
+    assert set(value.to_json()) == keys
+
+
+def test_report_json_nests_its_records(workdir):
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") in (0, 1)
+    report = json.loads((workdir / "out" / "report.json").read_text())
+    assert set(report) == RECORD_KEYS["report"][1]
+    assert set(report["allocation"]) == RECORD_KEYS["allocation"][1]
+    assert report["performance"] and report["regression"]
+    for row in report["performance"]:
+        assert set(row) == RECORD_KEYS["performance-row"][1]
+    for row in report["regression"]:
+        assert set(row) == RECORD_KEYS["regression-row"][1]
 
 
 def assert_help_lists_subcommands(proc):

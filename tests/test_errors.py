@@ -12,6 +12,8 @@ checks bounds before device presence.
 
 import pytest
 
+from offload_planner.cli import main
+from offload_planner.evaluation import CostAnnotations, CostModelError, evaluate_sim
 from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
 from offload_planner.minic.interp import Machine
 from offload_planner.offload import (
@@ -165,3 +167,57 @@ def test_iteration_cap_counts_the_loops_of_both_spaces():
     with pytest.raises(EvalError) as info:
         Machine(iteration_cap=5, roots=region).run(ast)
     assert str(info.value) == "3:1: iteration cap (5) exceeded"
+
+
+# -- numeric overflow: exit 2 naming the value, never a traceback ----------
+
+@pytest.mark.parametrize("measure, message", [
+    ("1e300,1e-300", "the time split 1e+300:1e-300 has no finite ratio"),
+    ("inf,1", "times must be finite, got t_cpu=inf, t_dev=1.0"),
+    ("nan,1", "times must be finite, got t_cpu=nan, t_dev=1.0"),
+    ("0,inf", "times must be finite, got t_cpu=0.0, t_dev=inf"),
+])
+def test_plan_rejects_a_time_split_without_a_finite_ratio(tmp_path, capsys,
+                                                          measure, message):
+    code = main(["plan", "--measure", measure, "--price-cpu", "1", "--price-dev", "1",
+                 "--budget", "10", "-o", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
+HUGE = "1" + "0" * 200
+# two inner loops of 10^200 iterations each: the kernel of a region holding
+# both runs 10^400 times, beyond binary64
+DEEP_NEST = ("float x; int i = 0; int j = 0; int k = 0;\n"
+             "for (i = 0; i < 4; i++) {\n"
+             f"  for (j = 0; j < {HUGE}; j++) {{\n"
+             f"    for (k = 0; k < {HUGE}; k++) {{ x = x + 1.0; }}\n"
+             "  }\n}\n")
+
+
+@pytest.mark.parametrize("bits, message", [
+    ((0, 0, 0), "host cost of loop 16 is not a finite binary64"),
+    ((1, 0, 0), "kernel cost of region 8 is not a finite binary64"),
+    ((0, 1, 0), "kernel cost of region 12 is not a finite binary64"),
+    ((0, 0, 1), "kernel cost of region 16 is not a finite binary64"),
+])
+def test_sim_term_beyond_binary64_is_a_cost_model_error(bits, message):
+    ast = parse_program(DEEP_NEST)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern(bits)
+    plan = plan_transfers(ast, loops, pattern)
+    with pytest.raises(CostModelError) as info:
+        evaluate_sim(ast, loops, pattern, plan, CostAnnotations(default_work=1.0))
+    assert str(info.value) == message
+
+
+def test_search_with_a_sim_term_beyond_binary64_exits_2(tmp_path, capsys):
+    src = tmp_path / "deep.mc"
+    src.write_text(DEEP_NEST, encoding="utf-8")
+    costs = tmp_path / "costs.json"
+    costs.write_text('{"default_work": 1.0}', encoding="utf-8")
+    code = main(["search", str(src), "--costs", str(costs), "--ga",
+                 "generations=2,population_size=4", "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: CostModelError: kernel cost of "
+                                       "region 16 is not a finite binary64\n")

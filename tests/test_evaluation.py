@@ -199,6 +199,9 @@ def test_measurement_serialization_is_exact():
     good = Measurement(1.5, 1.0, 0.5, True)
     assert good.to_json() == {"t_total": 1.5, "t_cpu_part": 1.0,
                               "t_dev_part": 0.5, "valid": True}
+    assert bad.to_json() == {"t_total": "INFINITE_TIME", "t_cpu_part": "INFINITE_TIME",
+                             "t_dev_part": "INFINITE_TIME", "valid": False,
+                             "note": "because"}
 
 
 # -- external backend ---------------------------------------------------------
@@ -248,6 +251,14 @@ def test_external_substitutes_paths():
     cmd = f'{PY} -c "{probe}" {{src}} {{pattern}}'
     assert evaluate_external(cmd, "P.acc.mc", "P.json").valid
     assert not evaluate_external(cmd, "other.mc", "P.json").valid
+
+
+def test_external_fills_each_slot_as_one_argument():
+    # a path with spaces stays one argument, and so does an empty one
+    probe = ("import sys; print(0.5, 0.25, 0.25, "
+             "1 if sys.argv[1:] == ['sp ace/P.acc.mc', '', 'x'] else 0)")
+    cmd = f'{PY} -c "{probe}" {{src}} {{pattern}} x'
+    assert evaluate_external(cmd, "sp ace/P.acc.mc", "").valid
 
 
 # -- comparison ---------------------------------------------------------------

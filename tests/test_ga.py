@@ -56,6 +56,15 @@ def load_instance(name, costs_name):
     return ast, loops, costs
 
 
+def test_ga_config_from_json_converts_present_fields_only():
+    assert GaConfig.from_json({}) == GaConfig()
+    cfg = GaConfig.from_json({"generations": "3", "crossover_rate": "0.5",
+                              "seed": 7.0, "not_a_field": 1})
+    assert cfg == GaConfig(generations=3, crossover_rate=0.5, seed=7)
+    assert type(cfg.generations) is int and type(cfg.crossover_rate) is float
+    assert GaConfig.from_json(cfg.to_json()) == cfg
+
+
 def test_no_eligible_loops_degenerates_to_single_evaluation():
     ast = parse_program("int x; x = 3;")
     loops = extract_loops(ast)

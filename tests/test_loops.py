@@ -88,9 +88,29 @@ def test_unknown_call_makes_loop_ineligible():
     assert "mystery" in info.ineligibility_reason
 
 
+def test_bound_beyond_binary64_has_no_trip_count():
+    huge = "1" + "0" * 400  # folds to an infinite binary64
+    _, table = table_for(f"int i; float x; for(i=0;i<{huge};i++){{ x = 1.0; }}")
+    assert table.infos[0].trip_count is None
+    assert not table.infos[0].eligible
+
+
 def test_unknown_call_in_expression_is_also_ineligible():
     _, table = table_for("int i; float x; for(i=0;i<4;i++){ x = oracle(i); }")
     assert not table.infos[0].eligible
+
+
+def test_reason_names_the_first_unknown_call_in_source_order():
+    # a nested header's call precedes the calls of the body after it
+    _, table = table_for(
+        "int i; int j; float x; x = first(1);\n"
+        "for(i=0;i<4;i++){ x = sin(x); for(j=second(2);j<4;j++){ x = third(j); } "
+        "fourth(x); }\n"
+        "for(i=0;i<4;i++){ x = x + sqrt(fifth(x)); }")
+    reasons = [info.ineligibility_reason for info in table.infos]
+    assert reasons == ["unknown call 'second' in loop body",
+                       "bounds not statically evaluable or trip count not positive",
+                       "unknown call 'fifth' in loop body"]
 
 
 def test_eligibility_monotone_under_unknown_call_growth():

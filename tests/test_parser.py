@@ -51,6 +51,8 @@ def test_missing_semicolon_is_syntax_error_with_position():
     "float a[2] = 1;",             # array initializer
     "int x; x = sin(1, 2);",       # intrinsic arity
     "int x; {",                    # unterminated block
+    "float a[9007199254740992];",  # 2^53 cells: beyond a binary64 index
+    "int x; for(x=0;x<4;x+=9007199254740992){}",  # a 2^53 step, likewise
 ])
 def test_malformed_inputs_raise(source):
     with pytest.raises(ParseError):

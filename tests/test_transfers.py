@@ -194,6 +194,18 @@ def test_at_most_one_op_per_variable_region_direction():
             assert len(keys) == len(set(keys)), (name, bits)
 
 
+def test_by_anchor_groups_every_op_once_in_plan_order():
+    for name in ("g3.mc", "nested_hoist.mc", "nested3.mc", "misc.mc"):
+        ast, loops = setup(name)
+        for info in loops.eligible():
+            plan = plan_transfers(ast, loops, pattern_for(loops, info.loop_id))
+            groups = plan.by_anchor()
+            for key, ops in groups.items():
+                assert ops == [op for op in plan.ops
+                               if (op.anchor_loop, op.position) == key]
+            assert sum(map(len, groups.values())) == len(plan.ops)
+
+
 def test_transferred_vars_justified_by_def_use():
     for name in ("g3.mc", "nested_hoist.mc", "nested3.mc"):
         ast, loops = setup(name)
