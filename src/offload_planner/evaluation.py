@@ -182,57 +182,24 @@ def _region_cost(loops: LoopTable, costs: CostAnnotations, root: int) -> float:
     return _entries(loops, root) * kernel
 
 
-def _term(name: str, cost, *args):
-    """cost(*args), or the cost model error it raises, kept without its
-    traceback (whose frames would hold the loop table). A cost that is not
-    a finite binary64 is a CostModelError naming it."""
+def _finite(name: str, cost, *args) -> float:
+    """cost(*args), 0.0 for None; a cost that is not a finite binary64 is a
+    CostModelError naming it. Cost model errors propagate."""
     try:
         value = cost(*args)
         if value is None or math.isfinite(value):
-            return value
+            return value or 0.0
     except OverflowError:  # an integer too large for a float
         pass
-    except (CostModelError, MissingAnnotation) as exc:
-        return exc.with_traceback(None)
-    return CostModelError(f"{name} is not a finite binary64")
+    raise CostModelError(f"{name} is not a finite binary64")
 
 
-@dataclass(frozen=True)
-class _SimTerms:
-    """The pattern-free terms of the sim cost model. Each is a float, or the
-    CostModelError or MissingAnnotation that a pattern using it raises."""
-
-    host: tuple      # (loop id, host cost) in table order, loops with work
-    region: dict     # eligible loop id -> kernel cost of the region rooted there
-    entries: dict    # loop id -> how many times the loop is entered
-
-
-# loop table -> (cost annotations, their terms); other annotations replace
-# the entry. Cost annotations are frozen, so their terms stay valid. Two
-# threads may fill the entry at once; each returns the terms it computed.
+# loop table -> (cost annotations, host cost by loop id, kernel cost by
+# region root), filled on first use; other annotations replace the entry.
+# Only values are kept: a cost that raises is computed, and raises, again
+# for each pattern that uses it. Two threads may fill the entry at once;
+# both compute equal costs, so either write may win.
 _SIM_TERMS = weakref.WeakKeyDictionary()
-
-
-def _sim_terms(loops: LoopTable, costs: CostAnnotations) -> _SimTerms:
-    entry = _SIM_TERMS.get(loops)
-    if entry is None or entry[0] is not costs:
-        host = ((info.loop_id, _term(f"host cost of loop {info.loop_id}",
-                                     _host_cost, loops, costs, info))
-                for info in loops)
-        terms = _SimTerms(
-            host=tuple((lid, term) for lid, term in host if term is not None),
-            region={root: _term(f"kernel cost of region {root}",
-                                _region_cost, loops, costs, root)
-                    for root in loops.eligible_ids()},
-            entries={lid: _term(f"entry count of loop {lid}", _entries, loops, lid)
-                     for lid in loops.by_id})
-        entry = _SIM_TERMS[loops] = (costs, terms)
-    return entry[1]
-
-
-def _fail(term: Exception):
-    """Raise a fresh copy of a stored cost model error."""
-    raise type(term)(*term.args)
 
 
 def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
@@ -246,37 +213,44 @@ def evaluate_sim(ast, loops: LoopTable, pattern: OffloadPattern,
     bytes/bandwidth) per anchor execution; transfer time is charged to the
     device part.
 
-    Those host and region terms do not depend on the pattern: they are
-    computed once per loop table and cost annotations, and a pattern only
-    sums its terms, host loops in table order, then its regions, then the
-    plan's ops. A term that cannot be computed (a loop with work but no
-    static trip count, an eligible loop with no work annotation, a cost
-    that is not a finite binary64) raises its CostModelError or
-    MissingAnnotation for the patterns that use it.
+    Host and kernel costs do not depend on the pattern: each is filled in
+    on first use and kept per loop table and cost annotations, and a
+    pattern sums its costs, host loops in table order, then its regions,
+    then the plan's ops. A cost that cannot be computed (a loop with work
+    but no static trip count, an eligible loop with no work annotation, a
+    cost that is not a finite binary64) raises its CostModelError or
+    MissingAnnotation for each pattern that uses it.
     """
     if costs.fault_patterns and pattern.as_string() in costs.fault_patterns:
         return Measurement.invalid("fault injected by configuration")
-    terms = _sim_terms(loops, costs)
+    entry = _SIM_TERMS.get(loops)
+    if entry is None or entry[0] is not costs:
+        entry = _SIM_TERMS[loops] = (costs, {}, {})
+    _, host, kernel = entry
     roots = offloaded_ids(pattern, loops)
     members = set().union(*(loops.subtree_ids(root) for root in roots))
 
     t_cpu = 0.0
-    for lid, term in terms.host:
+    for info in loops:
+        lid = info.loop_id
         if lid not in members:
-            if type(term) is not float:
-                _fail(term)
-            t_cpu += term
+            cost = host.get(lid)
+            if cost is None:
+                cost = host[lid] = _finite(f"host cost of loop {lid}",
+                                           _host_cost, loops, costs, info)
+            t_cpu += cost
     t_dev = 0.0
     for root in roots:
-        term = terms.region[root]
-        if type(term) is not float:
-            _fail(term)
-        t_dev += term
+        cost = kernel.get(root)
+        if cost is None:
+            cost = kernel[root] = _finite(f"kernel cost of region {root}",
+                                          _region_cost, loops, costs, root)
+        t_dev += cost
+    # an op anchors at its root or a loop around it, entered no more often
+    # than the root, whose kernel cost made its count a finite binary64
+    entries, latency, bandwidth = loops.exec_count, costs.latency, costs.bandwidth
     for op in plan.ops:
-        count = terms.entries[op.anchor_loop]
-        if type(count) is not float:
-            _fail(count)
-        t_dev += count * (costs.latency + op.bytes / costs.bandwidth)
+        t_dev += entries(op.anchor_loop) * (latency + op.bytes / bandwidth)
 
     return Measurement(t_cpu + t_dev, t_cpu, t_dev, valid=True)
 

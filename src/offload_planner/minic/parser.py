@@ -38,6 +38,9 @@ from .astnodes import (
 
 KEYWORDS = ("int", "float", "for")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators
+# most array cells a program may declare: interpretation allocates every
+# array in full, 128 MiB per copy at this budget
+CELL_BUDGET = 2 ** 24
 
 _TOKEN_RE = re.compile(
     r"""
@@ -110,6 +113,7 @@ class _Parser:
         self.next_id = 0
         # name -> VarDecl; single flat scope, declaration-before-use
         self.symbols: dict[str, VarDecl] = {}
+        self.cells = 0  # array cells declared so far
 
     # -- token plumbing --------------------------------------------------
 
@@ -162,6 +166,10 @@ class _Parser:
                 raise ParseError("array size must be a positive integer below 2^53",
                                  size_tok.line, size_tok.col)
             size = int(size_tok.text)
+            self.cells += size
+            if self.cells > CELL_BUDGET:
+                raise ParseError(f"array '{name_tok.text}' takes the program's arrays "
+                                 f"past {CELL_BUDGET} cells", size_tok.line, size_tok.col)
             self.expect("]")
         init = None
         if self.peek().kind == "=":

@@ -105,10 +105,17 @@ class TransferOp:
     var: str
     direction: str            # HOST_TO_DEVICE | DEVICE_TO_HOST
     anchor_loop: int          # fires on every entry/exit of this loop
-    position: str             # "before" | "after"
-    hoisted: bool
     bytes: int
     region: int               # region root the op serves
+
+    @property
+    def position(self) -> str:
+        """Copyins fire before their anchor loop, copyouts after it."""
+        return "before" if self.direction == HOST_TO_DEVICE else "after"
+
+    @property
+    def hoisted(self) -> bool:
+        return self.anchor_loop != self.region
 
 
 @dataclass(frozen=True)
@@ -179,20 +186,20 @@ def _region_ops(loops: LoopTable, root: int, hoist: bool, sizes: dict) -> tuple:
     for var in info.defs - info.exposed:
         # the device's copy reaches the host whole, at its copyout or the
         # teardown flush after the outermost loop; what the region may
-        # leave unwritten by then must hold the host's values
-        sink = anchor(var, reads_block=True) if var in later else chain[-1]
-        if var not in loops.by_id[sink].must:
+        # leave unwritten by then must hold the host's values. must
+        # assumes that loop runs its body: one with no static trip count
+        # may run it zero times
+        sink = loops.by_id[anchor(var, reads_block=True) if var in later else chain[-1]]
+        if sink.trip_count is None or var not in sink.must:
             copyins.add(var)
     ops = []
     for var in sorted(copyins):
         at = anchor(var, reads_block=False)
         if at != chain[-1]:
             later.add(var)  # refires per enclosing iteration, so copy back
-        ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
-                              sizes[var], root))
+        ops.append(TransferOp(var, HOST_TO_DEVICE, at, sizes[var], root))
     for var in sorted(info.defs & later):
-        at = anchor(var, reads_block=True)
-        ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
+        ops.append(TransferOp(var, DEVICE_TO_HOST, anchor(var, reads_block=True),
                               sizes[var], root))
     return tuple(ops)
 

@@ -14,7 +14,13 @@ import pytest
 
 from offload_planner.cli import main
 from offload_planner.evaluation import CostAnnotations, CostModelError, evaluate_sim
-from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
+from offload_planner.minic import (
+    EvalError,
+    ParseError,
+    extract_loops,
+    interpret,
+    parse_program,
+)
 from offload_planner.minic.interp import Machine
 from offload_planner.offload import (
     HOST_TO_DEVICE,
@@ -221,3 +227,25 @@ def test_search_with_a_sim_term_beyond_binary64_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == ("error: CostModelError: kernel cost of "
                                        "region 16 is not a finite binary64\n")
+
+
+# -- array cells: exit 2 naming the array, never a MemoryError --------------
+
+@pytest.mark.parametrize("source, message", [
+    ("float big[100000000000];",
+     "1:11: array 'big' takes the program's arrays past 16777216 cells"),
+    ("float a[16777216]; float big[1];",
+     "1:30: array 'big' takes the program's arrays past 16777216 cells"),
+])
+def test_arrays_past_the_cell_budget_are_a_parse_error(source, message):
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert str(info.value) == message
+
+
+def test_analyze_of_a_program_past_the_cell_budget_exits_2(tmp_path, capsys):
+    src = tmp_path / "big.mc"
+    src.write_text("float x;\nfloat big[100000000000];\n", encoding="utf-8")
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: ParseError: 2:11: array 'big' takes "
+                                       "the program's arrays past 16777216 cells\n")

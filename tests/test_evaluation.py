@@ -495,7 +495,7 @@ def test_concurrent_evaluation_matches_serial():
 
 
 def test_sim_terms_do_not_keep_a_loop_table_alive():
-    # a stored error's traceback would hold the table its term belongs to
+    # the memo is keyed weakly by the table, and a pattern's error is not kept
     ast, loops = build(UNKNOWN_TRIP)
     pattern = OffloadPattern((0, 0))
     with pytest.raises(CostModelError):
@@ -534,15 +534,21 @@ def test_unknown_trip_fails_only_the_patterns_that_use_its_term():
     ast = parse_program(UNKNOWN_TRIP)
     loops = extract_loops(ast)
     costs = CostAnnotations(work={8: 5.0, 16: 0.0, 20: 5.0})
-    results = {}
-    for bits in itertools.product((0, 1), repeat=2):
-        pattern = OffloadPattern(bits)
-        plan = plan_transfers(ast, loops, pattern)
-        results[bits] = outcome(evaluate_sim, ast, loops, pattern, plan, costs)
+
+    def outcomes(order):
+        return {bits: outcome(evaluate_sim, ast, loops, OffloadPattern(bits),
+                              plan_transfers(ast, loops, OffloadPattern(bits)), costs)
+                for bits in order}
+
+    order = list(itertools.product((0, 1), repeat=2))
+    results = outcomes(order)
     host = ("CostModelError", "host loop 20 has work but no static trip count")
     region = ("CostModelError", "loop 20 in region 16 has no static trip count")
     assert results[0, 0] == results[1, 0] == host
     assert results[0, 1] == results[1, 1] == region
+    # the same table and annotations again, in reverse order: errors are
+    # neither kept nor dependent on which pattern came first
+    assert outcomes(order[::-1]) == results
     costs = CostAnnotations(work={8: 5.0, 16: 0.0, 20: 0.0})
     pattern = OffloadPattern((1, 0))
     plan = plan_transfers(ast, loops, pattern)

@@ -8,7 +8,13 @@ import random
 import pytest
 
 from offload_planner import ga
-from offload_planner.evaluation import CostAnnotations, Measurement, _sim_terms, evaluate_sim
+from offload_planner.evaluation import (
+    CostAnnotations,
+    Measurement,
+    _host_cost,
+    _region_cost,
+    evaluate_sim,
+)
 from offload_planner.ga import (
     GaConfig,
     Individual,
@@ -235,8 +241,7 @@ def dp_optimum(ast, loops, costs):
     whole, when eligible, and keeping it on the host with each child at its
     best. Exact because the sim cost adds up per host loop and per region,
     and a region's transfer ops do not depend on the other regions."""
-    terms = _sim_terms(loops, costs)
-    host = dict(terms.host)
+    host = {info.loop_id: _host_cost(loops, costs, info) or 0.0 for info in loops}
     ids = loops.eligible_ids()
     children = {}
     for info in loops:
@@ -245,12 +250,12 @@ def dp_optimum(ast, loops, costs):
     def region(root):
         alone = OffloadPattern(tuple(int(x == root) for x in ids))
         ops = plan_transfers(ast, loops, alone).ops
-        return terms.region[root] + sum(
-            terms.entries[op.anchor_loop] * (costs.latency + op.bytes / costs.bandwidth)
+        return _region_cost(loops, costs, root) + sum(
+            loops.exec_count(op.anchor_loop) * (costs.latency + op.bytes / costs.bandwidth)
             for op in ops)
 
     def best(lid):
-        cost, roots = host.get(lid, 0.0), []
+        cost, roots = host[lid], []
         for child in children.get(lid, ()):
             child_cost, child_roots = best(child)
             cost += child_cost

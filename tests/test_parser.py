@@ -53,6 +53,7 @@ def test_missing_semicolon_is_syntax_error_with_position():
     "int x; {",                    # unterminated block
     "float a[9007199254740992];",  # 2^53 cells: beyond a binary64 index
     "int x; for(x=0;x<4;x+=9007199254740992){}",  # a 2^53 step, likewise
+    "float big[100000000000];",    # past the program's array cell budget
 ])
 def test_malformed_inputs_raise(source):
     with pytest.raises(ParseError):

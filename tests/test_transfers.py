@@ -378,16 +378,25 @@ def reference_region_ops(ast, loops, chains, root, hoist):
                 at = loop_id
         return at
 
+    outermost = enclosing[-1][0] if enclosing else root
+
+    def sink(var):
+        """The loop after which the device's copy of var reaches the host:
+        its copyout's anchor, or the outermost for the teardown flush."""
+        return anchor(var, reads_block=True) if var in later else outermost
+
+    # when the sink may run zero times, the host's value must go in first
+    copyins = reference_upward_exposed(loops.nodes[root], loops)
+    copyins |= {var for var in loops.by_id[root].defs
+                if loops.by_id[sink(var)].trip_count is None}
     ops = []
-    for var in sorted(reference_upward_exposed(loops.nodes[root], loops)):
+    for var in sorted(copyins):
         at = anchor(var, reads_block=False)
-        if enclosing and at != enclosing[-1][0]:
+        if at != outermost:
             later.add(var)
-        ops.append(TransferOp(var, HOST_TO_DEVICE, at, "before", at != root,
-                              decls[var].byte_size, root))
+        ops.append(TransferOp(var, HOST_TO_DEVICE, at, decls[var].byte_size, root))
     for var in sorted(loops.by_id[root].defs & later):
-        at = anchor(var, reads_block=True)
-        ops.append(TransferOp(var, DEVICE_TO_HOST, at, "after", at != root,
+        ops.append(TransferOp(var, DEVICE_TO_HOST, anchor(var, reads_block=True),
                               decls[var].byte_size, root))
     return tuple(ops)
 

@@ -169,8 +169,7 @@ def test_late_copyout_is_caught():
                and op.anchor_loop == inner for op in plan.ops)
     # force the copyout to the outer loop, against the blocking CPU use
     forced = TransferPlan(tuple(
-        TransferOp(op.var, op.direction, outer, op.position, True, op.bytes,
-                   op.region)
+        TransferOp(op.var, op.direction, outer, op.bytes, op.region)
         if op.var == "c" and op.direction == DEVICE_TO_HOST else op
         for op in plan.ops))
     good = simulate_with_plan(ast, loops, pattern, plan)
@@ -246,6 +245,21 @@ def test_unhoisted_copyin_inside_a_cpu_loop_gets_a_copyout():
     sim = simulate_with_plan(ast, loops, pattern, plan)
     assert sim.outputs == interpret(ast)
     assert sim.outputs["a"] == (3.0, 4.0, 5.0, 6.0)
+
+
+def test_copyout_hoisted_past_a_loop_that_runs_zero_times():
+    # the copyout of x hoists past the j loop, which has no static trip
+    # count and runs zero times: x must go in first for it to come out
+    src = ("int m; float x; float y; int i = 0; int j = 0; m = 0; "
+           "for (j = 0; j < m; j++) { for (i = 0; i < 4; i++) { x = 1.0; } } y = x;")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((1,))
+    plan = plan_transfers(ast, loops, pattern)
+    outer = loops.infos[0].loop_id
+    assert [(op.var, op.direction, op.anchor_loop) for op in plan.ops] == [
+        ("x", HOST_TO_DEVICE, outer), ("x", DEVICE_TO_HOST, outer)]
+    assert simulate_with_plan(ast, loops, pattern, plan).outputs == interpret(ast)
 
 
 @pytest.mark.parametrize("src, copyouts, drop, expected", [
