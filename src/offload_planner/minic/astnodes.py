@@ -28,6 +28,10 @@ class Node:
 
 
 # -- expressions -------------------------------------------------------------
+# An expression writes no variable or cell, so nothing writes memory while a
+# statement evaluates its expressions. The interpreter's generated source
+# relies on this: within one statement it checks an index once per array
+# size (interp._Nest.index). An expression with a side effect must end that.
 
 @dataclass(frozen=True)
 class Num(Node):

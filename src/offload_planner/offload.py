@@ -29,13 +29,14 @@ loop control writes, but hoisting a copyin past a header that rewrites the
 transferred variable every iteration would ship a stale value.
 
 Two-space execution compiles the program once per run with the
-interpreter's closure compiler (minic.interp.Machine): CPU code for host
-memory, each region's subtree for device memory, and the plan's transfers
-into the entry and exit of their anchor loops. A device write marks a
-variable device-fresh; a host write or a transfer clears the mark. The
-teardown flush copies out exactly the device-fresh variables:
-region-written loop indices and results that no CPU code touches later get
-no copyout, yet are program outputs.
+interpreter's compiler (minic.interp.Machine, which the loop table tells
+the hot loops to emit as source): CPU code for host memory, each region's
+subtree for device memory, and the plan's transfers into the entry and
+exit of their anchor loops. A device write marks a variable
+device-fresh; a host write or a transfer clears the mark. The teardown
+flush copies out exactly the device-fresh variables: region-written loop
+indices and results that no CPU code touches later get no copyout, yet
+are program outputs.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def simulate_with_plan(ast: Program, loops: LoopTable, pattern: OffloadPattern,
     hooks = {key: [partial(fire, op) for op in ops]
              for key, ops in plan.by_anchor().items()}
     roots = [loops.nodes[lid] for lid in offloaded_ids(pattern, loops)]
-    machine = Machine(roots=roots, hooks=hooks)
+    machine = Machine(roots=roots, hooks=hooks, loops=loops)
     machine.run(ast)
     for name in sorted(machine.fresh):  # the teardown flush
         machine.transfer(name, to_device=False)

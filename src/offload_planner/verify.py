@@ -223,12 +223,12 @@ def _sim_diff(case: TestCase, tol: ToleranceSpec, scaled: float | None,
         raise ConfigError(f"performance case '{case.name}' lacks a baseline source")
     try:
         ast, loops = _program(case.source, programs)
-        baseline_ast, _ = _program(case.baseline, programs)
+        baseline_ast, baseline_loops = _program(case.baseline, programs)
         pattern = OffloadPattern(tuple(case.pattern or ()))
         plan = plan_transfers(ast, loops, pattern)
         offloaded = simulate_with_plan(ast, loops, pattern, plan).outputs
         if id(baseline_ast) not in baselines:
-            baselines[id(baseline_ast)] = interpret(baseline_ast)
+            baselines[id(baseline_ast)] = interpret(baseline_ast, loops=baseline_loops)
         verdict = compare_results(offloaded, baselines[id(baseline_ast)], tol)
         return PerformanceRow(case.name, scaled, throughput, verdict.passed,
                               verdict.worst_variable, verdict.worst_deviation)

@@ -227,7 +227,7 @@ def test_run_all_reparses_only_case_files_other_than_the_source(workdir, monkeyp
     monkeypatch.setattr(verify, "parse_program",
                         lambda text: parsed.append(text) or parse(text))
     monkeypatch.setattr(verify, "interpret",
-                        lambda ast: interpreted.append(ast) or interpret(ast))
+                        lambda ast, **kw: interpreted.append(ast) or interpret(ast, **kw))
     assert run_cli("run-all", "--config", workdir / "g3_config.json") == 0
     report = json.loads((workdir / "out" / "report.json").read_text())
     assert [row["diff_passed"] for row in report["performance"]] == [True] * 4

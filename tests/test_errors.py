@@ -7,7 +7,8 @@ succeed) exactly as plain interpretation does. Several cases fix which of
 two errors wins, which depends on evaluation order: a binary operator
 evaluates its left operand, then its right, then checks the divisor; an
 element assignment evaluates its value before its index; an element read
-checks bounds before device presence.
+checks bounds before device presence. The pinned messages hold in both
+tiers of the interpreter: closures, and loops run as generated source.
 """
 
 import pytest
@@ -30,6 +31,8 @@ from offload_planner.offload import (
     plan_transfers,
     simulate_with_plan,
 )
+
+from conftest import hot_iterations
 
 PARTIAL_WRITE = ("float a[8]; float b[8]; float s = 0; int i = 0;\n"
                  "for (i = 0; i < 8; i++) { read_input(i); b[i] = i; }\n"
@@ -74,6 +77,25 @@ CASES = {
         "float a[4]; int i = 0;\nfor (i = 0; i < 2; i++) { a[9] = 1/0; }",
         (1,), False, "2:35: division by zero",
         "2:35: division by zero", EvalError),
+    "value-read-before-index": (
+        "float a[4]; float x = 2; int i = 0;\nfor (i = 0; i < 2; i++) { a[9] = x; }",
+        (1,), True, "2:27: index 9 out of bounds for 'a[4]'",
+        "device read of 'x' before any transfer", TwoSpaceError),
+    "left-operand-read-wins": (
+        "float a[4]; float x = 2; float s; int i = 0;\n"
+        "for (i = 0; i < 2; i++) { s = x + a[9]; }",
+        (1,), True, "2:35: index 9 out of bounds for 'a[4]'",
+        "device read of 'x' before any transfer", TwoSpaceError),
+    "each-array-checks-its-own-bounds": (
+        "float a[4]; float b[2]; float x; int i = 0;\n"
+        "for (i = 0; i < 4; i++) { x = a[i] + b[i]; }",
+        (1,), False, "2:38: index 2 out of bounds for 'b[2]'",
+        "2:38: index 2 out of bounds for 'b[2]'", EvalError),
+    "condition-variable-read-before-bound": (
+        "float z = 0; float k = 0; int i = 0; int j = 0;\n"
+        "for (i = 0; i < 2; i++) { for (j = 0; k < 4 / z; j++) { } }",
+        (1,), True, "2:45: division by zero",
+        "device read of 'k' before any transfer", TwoSpaceError),
     "bounds-checked-before-device-presence": (
         "float a[4]; float s; int i = 0;\nfor (i = 0; i < 4; i++) { s = a[9]; }",
         (1,), True, "2:31: index 9 out of bounds for 'a[4]'",
@@ -173,6 +195,47 @@ def test_iteration_cap_counts_the_loops_of_both_spaces():
     with pytest.raises(EvalError) as info:
         Machine(iteration_cap=5, roots=region).run(ast)
     assert str(info.value) == "3:1: iteration cap (5) exceeded"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generated_source_raises_the_pinned_messages(case, nests):
+    src, bits, drop, plain, message, kind = CASES[case]
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    with hot_iterations(1):  # every loop with a static count is emitted
+        if plain is None:
+            interpret(ast, loops=loops)
+        else:
+            with pytest.raises(EvalError) as info:
+                interpret(ast, loops=loops)
+            assert (type(info.value), str(info.value)) == (EvalError, plain)
+        with pytest.raises(EvalError) as info:
+            run_two_space(src, bits, drop)
+        assert (type(info.value), str(info.value)) == (kind, message)
+    assert nests and all(compiled for _, compiled in nests)
+
+
+def test_generated_source_counts_the_iteration_cap_on_the_shared_ticks(nests):
+    src = "int i; int s;\nfor(i=0;i<4;i++){ i = 0 - 1; s = s + 1; }"
+    ast = parse_program(src)
+    with hot_iterations(1), pytest.raises(EvalError) as info:
+        interpret(ast, iteration_cap=1000, loops=extract_loops(ast))
+    assert str(info.value) == "2:1: iteration cap (1000) exceeded"
+    assert nests == [(ast.items[2].node_id, True)]
+    # four host iterations emitted as source, then two in a region run as
+    # closures: the cap counts them together
+    src = ("float s; int i = 0; int j = 0;\n"
+           "for (i = 0; i < 4; i++) { s = i; }\nfor (j = 0; j < 2; j++) { s = j; }")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    region = [loops.nodes[loops.infos[1].loop_id]]
+    nests.clear()
+    with hot_iterations(4):
+        Machine(iteration_cap=6, roots=region, loops=loops).run(ast)
+        with pytest.raises(EvalError) as info:
+            Machine(iteration_cap=5, roots=region, loops=loops).run(ast)
+    assert str(info.value) == "3:1: iteration cap (5) exceeded"
+    assert nests == [(loops.infos[0].loop_id, True)] * 2
 
 
 # -- numeric overflow: exit 2 naming the value, never a traceback ----------

@@ -1,17 +1,21 @@
 """Interpreter tests: worked values against hand evaluation, error cases,
-determinism, and the iteration cap."""
+determinism, and the iteration cap, each in both tiers: closures, and
+every loop with a static iteration count run as generated source."""
 
 import math
 
 import pytest
 
-from offload_planner.minic import EvalError, interpret, parse_program
+from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
+from offload_planner.minic.interp import HOT_ITERATIONS, ITERATION_CAP
 
-from conftest import corpus_programs
+from conftest import corpus_programs, hot_iterations, in_both_tiers
 
 
-def run(src):
-    return interpret(parse_program(src))
+def run(src, iteration_cap=ITERATION_CAP):
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    return in_both_tiers(lambda: interpret(ast, iteration_cap, loops=loops))
 
 
 def test_trivial_assignment():
@@ -39,7 +43,7 @@ def test_iteration_cap():
     # index forced back each pass: never terminates without the cap
     src = "int i; int s; for(i=0;i<4;i++){ i = 0 - 1; s = s + 1; }"
     with pytest.raises(EvalError, match="iteration cap"):
-        interpret(parse_program(src), iteration_cap=1000)
+        run(src, iteration_cap=1000)
 
 
 def test_non_static_loop_runs_as_written():
@@ -75,6 +79,19 @@ def test_float_division_semantics():
     assert run("float x; x = 1/2;")["x"] == 0.5
 
 
+@pytest.mark.parametrize("src, name, expected", [
+    # i = 0: a[0] = 1, then i = 7: a[7] = 2; the step makes i 8
+    ("float a[8]; int i; for(i=0;i<2;i++){ a[i] = 1.0; i = i + 7; a[i] = 2.0; }",
+     "a", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0)),
+    # i starts at a[0] = 2; the tests read a[0] + 1 = 3, a[1] + 1 = 4, a[2] + 1 = 2
+    ("float a[4]; float s; int i; int j; int k; a[0] = 2.0; a[1] = 3.0; a[2] = 1.0;"
+     "for(j=0;j<1;j++){ for(i=a[k];i<a[k]+1;i++){ k = k + 1; s = s + 1.0; } }",
+     "s", 2.0),
+], ids=["statement", "loop-bound"])
+def test_an_index_is_read_again_after_the_body_writes_it(src, name, expected):
+    assert run(src)[name] == expected
+
+
 def test_index_truncates_toward_zero():
     out = run("float a[4]; a[2.9] = 7.0;")
     assert out["a"] == (0.0, 0.0, 7.0, 0.0)
@@ -87,10 +104,8 @@ def test_plus_equals_step():
 
 def test_referential_transparency_bit_for_bit():
     for path in corpus_programs():
-        ast1 = parse_program(path.read_text(encoding="utf-8"))
-        ast2 = parse_program(path.read_text(encoding="utf-8"))
-        first = interpret(ast1)
-        second = interpret(ast2)
+        first = run(path.read_text(encoding="utf-8"))
+        second = run(path.read_text(encoding="utf-8"))
         assert first == second
         for name, value in first.items():
             seq = value if isinstance(value, tuple) else (value,)
@@ -107,3 +122,42 @@ def test_scalar_flow_hand_checked():
     out = run(src)
     assert out["acc"] == 9.0
     assert out["t"] == 4.0
+
+
+def test_loops_reaching_the_threshold_run_as_generated_source(nests):
+    half = -(-HOT_ITERATIONS // 2)
+    src = ("float s; int i = 0; int j = 0;\n"
+           f"for (j = 0; j < 2; j++) {{ for (i = 0; i < {half}; i++) {{ s = s + i; }} }}\n"
+           f"for (i = 0; i < {HOT_ITERATIONS - 1}; i++) {{ s = s - i; }}\n")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    expected = interpret(ast)  # no loop table: closures only
+    assert nests == []
+    assert interpret(ast, loops=loops) == expected
+    assert nests == [(loops.infos[1].loop_id, True)]
+
+
+@pytest.mark.parametrize("expr, s", [
+    ("s" + " + a[i] / 2.0 - 1.0 * i" * 100, -300.0),  # 400 operators, one level each
+    ("(1.0 + " * 250 + "s" + ")" * 250, 1000.0),       # 250 nested levels
+], ids=["chain", "nested"])
+def test_long_expressions_run_in_generated_source(expr, s, nests):
+    src = f"float s; float a[4]; int i = 0; for (i = 0; i < 4; i++) {{ a[i] = i; s = {expr}; }}"
+    assert run(src)["s"] == s
+    assert [compiled for _, compiled in nests] == [True]
+
+
+@pytest.mark.parametrize("body, first_emitted", [
+    ("x = x + 1.0;", 1),        # 20 loops fit in one function
+    ("x = x + sqrt(1.0);", 3),  # its try block takes two of the 20 blocks
+])
+def test_a_nest_too_deep_for_one_function_stays_closures(body, first_emitted, nests):
+    depth = 21
+    src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(depth))
+    src += "".join(f"for (i{k} = 0; i{k} < {1 + k % 2}; i{k}++) {{\n" for k in range(depth))
+    src += body + "}" * depth + "\n"
+    out = run(src)
+    assert out["x"] == 2 ** 10  # ten of the loops run twice
+    loops = extract_loops(parse_program(src))
+    assert nests == [(info.loop_id, k == first_emitted)
+                     for k, info in enumerate(loops.infos[:first_emitted + 1])]

@@ -4,18 +4,22 @@ Token mutants of the corpus programs (a token deleted, duplicated or
 swapped with the next, or a number literal lengthened) go through
 ``analyze`` and ``search`` with the sim backend. Whatever the mutant, no
 exception may escape ``main``: a well-formed program exits 0 and anything
-else exits 2 with a message.
+else exits 2 with a message. The mutants that parse also run through
+``interpret`` in both tiers, closures and generated source, which must
+agree.
 """
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from offload_planner.cli import main
-from offload_planner.minic.parser import tokenize
+from offload_planner.minic import ParseError, extract_loops, interpret
+from offload_planner.minic.parser import parse_program, tokenize
 
-from conftest import corpus_programs
+from conftest import corpus_programs, in_both_tiers
 
 MUTANTS = 200
 SEED = 1
@@ -65,3 +69,20 @@ def test_no_exception_escapes_main_on_token_mutants(tmp_path, capsys):
             codes[code] = codes.get(code, 0) + 1
     capsys.readouterr()
     assert codes.get(0) and codes.get(2)  # both outcomes are exercised
+
+
+def test_generated_source_runs_parsed_mutants_as_closures_do(nests):
+    # a low iteration cap stops runaway mutants fast
+    outcomes = Counter()
+    for source in mutants():
+        try:
+            ast = parse_program(source)
+        except ParseError:
+            continue
+        loops = extract_loops(ast)
+        try:
+            in_both_tiers(lambda: interpret(ast, 10 ** 4, loops=loops))
+            outcomes["ran"] += 1
+        except Exception as exc:  # the same in both tiers
+            outcomes[type(exc).__name__] += 1
+    assert outcomes["ran"] and outcomes["EvalError"] and nests

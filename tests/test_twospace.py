@@ -4,6 +4,7 @@ where the gene is short and on seeded samples where it is not."""
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from offload_planner.offload import (
     validate_pattern,
 )
 
-from conftest import corpus_programs, load_generator
+from conftest import corpus_programs, in_both_tiers, load_generator
 
 
 def valid_patterns(loops, limit_exhaustive=8, samples=64, seed=5):
@@ -37,15 +38,18 @@ def valid_patterns(loops, limit_exhaustive=8, samples=64, seed=5):
 
 
 def test_soundness_on_corpus():
+    # every fourth plan runs in both tiers too: generated source gives the
+    # closures' outputs and op counts
     for path in corpus_programs():
         ast = parse_program(path.read_text(encoding="utf-8"))
         loops = extract_loops(ast)
-        baseline = interpret(ast)
+        baseline = in_both_tiers(lambda: interpret(ast, loops=loops))
         checked = 0
         for pattern in valid_patterns(loops):
             for hoist in (True, False):
                 plan = plan_transfers(ast, loops, pattern, hoist=hoist)
-                sim = simulate_with_plan(ast, loops, pattern, plan)
+                run = partial(simulate_with_plan, ast, loops, pattern, plan)
+                sim = in_both_tiers(run) if hoist and checked % 2 == 0 else run()
                 assert sim.outputs == baseline, (path.name,
                                                  pattern.as_string(), hoist)
             checked += 1
@@ -289,21 +293,61 @@ def test_teardown_flush_copies_out_exactly_the_device_fresh(src, copyouts, drop,
     assert sim.outputs == interpret(ast) == expected
 
 
-def test_generated_programs_two_space_equals_interpretation():
+def test_generated_programs_two_space_equals_interpretation(nests):
+    # the verify-heavy nests reach HOT_ITERATIONS, so they run as source
     generator = load_generator()
     checked = 0
+    for workload, patterns in (("sim-search", 8), ("verify-heavy", 2)):
+        for program in generator.generate(workload, 1):
+            ast = parse_program(program.source)
+            loops = extract_loops(ast)
+            baseline = interpret(ast, loops=loops)
+            assert baseline == program.expected_outputs(), program.name
+            rng = random.Random(program.name)
+            for _ in range(patterns):
+                pattern = OffloadPattern(tuple(generator.random_antichain(program, rng)))
+                for hoist in (True, False):
+                    plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+                    sim = simulate_with_plan(ast, loops, pattern, plan)
+                    assert sim.outputs == baseline, (program.name,
+                                                     pattern.as_string(), hoist)
+                    checked += 1
+    assert checked == 128 + 12
+    assert nests and all(compiled for _, compiled in nests)
+
+
+def test_generated_source_equals_closures_on_generated_programs():
+    # every loop of the 40-loop programs emitted: outputs and op counts
+    generator = load_generator()
     for program in generator.generate("sim-search", 1):
         ast = parse_program(program.source)
         loops = extract_loops(ast)
-        baseline = interpret(ast)
-        assert baseline == program.expected_outputs(), program.name
         rng = random.Random(program.name)
-        for _ in range(8):
-            pattern = OffloadPattern(tuple(generator.random_antichain(program, rng)))
-            for hoist in (True, False):
-                plan = plan_transfers(ast, loops, pattern, hoist=hoist)
-                sim = simulate_with_plan(ast, loops, pattern, plan)
-                assert sim.outputs == baseline, (program.name,
-                                                 pattern.as_string(), hoist)
-                checked += 1
-    assert checked == 128
+        pattern = OffloadPattern(tuple(generator.random_antichain(program, rng)))
+        plan = plan_transfers(ast, loops, pattern)
+        in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
+
+
+def test_hooks_inside_a_generated_nest_fire_as_with_closures(nests):
+    # the region is the innermost loop. The copyin of a hoists to k; the
+    # copyin of j (which the j header writes) and the copyout of a (which
+    # the CPU reads after the region) fire at the region, inside k and j
+    src = ("float a[4]; float s = 0; int i = 0; int j = 0; int k = 0;\n"
+           "for (k = 0; k < 3; k++) {\n"
+           "  for (j = 0; j < 2; j++) {\n"
+           "    for (i = 0; i < 4; i++) { a[i] = a[i] + j; }\n"
+           "    s = s + a[1];\n"
+           "  }\n"
+           "}\n")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    outer, region = loops.infos[0].loop_id, loops.infos[2].loop_id
+    pattern = OffloadPattern(tuple(int(lid == region) for lid in loops.eligible_ids()))
+    plan = plan_transfers(ast, loops, pattern)
+    assert [(op.var, op.direction, op.anchor_loop) for op in plan.ops] == [
+        ("a", HOST_TO_DEVICE, outer), ("j", HOST_TO_DEVICE, region),
+        ("a", DEVICE_TO_HOST, region)]
+    sim = in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
+    assert list(sim.op_counts.values()) == [1, 6, 6]
+    assert sim.outputs == interpret(ast)
+    assert nests == [(outer, True)]  # one function holds the nest and its hooks
