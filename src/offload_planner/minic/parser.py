@@ -19,9 +19,11 @@ are assigned in source order (a statement's id is taken at its first token).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .astnodes import (
     EXACT,
+    INTRINSICS,
     Assign,
     BinOp,
     Block,
@@ -41,6 +43,10 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # binary operators
 # most array cells a program may declare: interpretation allocates every
 # array in full, 128 MiB per copy at this budget
 CELL_BUDGET = 2 ** 24
+# most levels an expression may nest, one for each bracket around an operand
+# and each operator, index or call above a leaf: passes recurse up to three
+# Python frames a level, and the first fails at about 330 levels
+EXPR_DEPTH = 256
 
 _TOKEN_RE = re.compile(
     r"""
@@ -65,17 +71,12 @@ class UndeclaredIdentifier(ParseError):
     pass
 
 
+@dataclass(slots=True)
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # "num" | "ident" | keyword text | operator text | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
+    kind: str  # "num" | "ident" | keyword text | operator text | "eof"
+    text: str
+    line: int
+    col: int
 
 
 def tokenize(source: str) -> list[Token]:
@@ -114,6 +115,8 @@ class _Parser:
         # name -> VarDecl; single flat scope, declaration-before-use
         self.symbols: dict[str, VarDecl] = {}
         self.cells = 0  # array cells declared so far
+        self.depth = 0  # whole expressions open, one inside the other
+        self.height = 0  # levels of the expression parsed last
 
     # -- token plumbing --------------------------------------------------
 
@@ -280,16 +283,22 @@ class _Parser:
         """Factors joined by left-associative operators that bind at least
         as tightly as ``min_precedence`` (the grammar's expr and term); a
         BinOp's id follows its operands' ids."""
+        whole = min_precedence == 1  # at top or in brackets, a level deeper
+        self.depth = self.within(self.depth + whole, self.peek())
         node = self.factor()
         while _PRECEDENCE.get(self.peek().kind, 0) >= min_precedence:
             op = self.advance()
+            left = self.height
             right = self.expr(_PRECEDENCE[op.kind] + 1)
+            self.height = self.within(max(left, self.height) + 1, op)
             node = BinOp(node_id=self.new_id(), line=op.line, col=op.col,
                          op=op.kind, left=node, right=right)
+        self.depth -= whole
         return node
 
     def factor(self) -> Node:
         tok = self.peek()
+        self.height = 1  # a leaf's; brackets, indices and calls set their own
         if tok.kind == "num":
             self.advance()
             return Num(node_id=self.new_id(), line=tok.line, col=tok.col,
@@ -304,6 +313,7 @@ class _Parser:
             if self.peek().kind == "(":
                 nid = self.new_id()
                 args = self.call_args(name, tok)
+                self.height = self.within(self.height + 1, tok)
                 return Call(node_id=nid, line=tok.line, col=tok.col, name=name, args=args)
             if self.peek().kind == "[":
                 self.require_array(name, tok)
@@ -311,6 +321,7 @@ class _Parser:
                 self.advance()
                 index = self.expr()
                 self.expect("]")
+                self.height = self.within(self.height + 1, tok)
                 return Index(node_id=nid, line=tok.line, col=tok.col, name=name, index=index)
             self.require_scalar(name, tok)
             return Var(node_id=self.new_id(), line=tok.line, col=tok.col, name=name)
@@ -318,20 +329,28 @@ class _Parser:
         raise ParseError(f"expected an expression, found {got!r}", tok.line, tok.col)
 
     def call_args(self, name: str, tok: Token) -> tuple:
+        """The arguments; self.height is then the levels of the highest."""
         self.expect("(")
-        args = []
+        args, height = [], 0
         if self.peek().kind != ")":
             args.append(self.expr())
+            height = self.height
             while self.peek().kind == ",":
                 self.advance()
                 args.append(self.expr())
+                height = max(height, self.height)
         self.expect(")")
-        from .astnodes import INTRINSICS
-
+        self.height = height
         if name in INTRINSICS and len(args) != 1:
             raise ParseError(f"intrinsic '{name}' takes exactly 1 argument",
                              tok.line, tok.col)
         return tuple(args)
+
+    @staticmethod
+    def within(levels: int, at: Token | Node) -> int:
+        if levels > EXPR_DEPTH:
+            raise ParseError(f"expression nests deeper than {EXPR_DEPTH} levels", at.line, at.col)
+        return levels
 
     # -- symbol checks -----------------------------------------------------
 

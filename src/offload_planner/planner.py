@@ -173,8 +173,6 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
         ideal = cpu_units * ratio.dev
         for dev_units in (ideal // ratio.cpu, -(-ideal // ratio.cpu)):
             dev_units = min(max(dev_units, 1), top)
-            if dev_units < 1:
-                continue
             key = (ratio_distance(cpu_units, dev_units, ratio),
                    -(cpu_units + dev_units), -cpu_units)
             if best_key is None or key < best_key:

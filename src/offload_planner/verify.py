@@ -35,7 +35,6 @@ from .offload import (
     InvalidPattern,
     LengthMismatch,
     OffloadPattern,
-    TwoSpaceError,
     plan_transfers,
     simulate_with_plan,
 )
@@ -232,8 +231,8 @@ def _sim_diff(case: TestCase, tol: ToleranceSpec, scaled: float | None,
         verdict = compare_results(offloaded, baselines[id(baseline_ast)], tol)
         return PerformanceRow(case.name, scaled, throughput, verdict.passed,
                               verdict.worst_variable, verdict.worst_deviation)
-    except (ParseError, EvalError, TwoSpaceError, InvalidPattern, LengthMismatch,
-            ShapeMismatch, OSError, ValueError) as exc:
+    except (ParseError, EvalError, InvalidPattern, LengthMismatch, ShapeMismatch,
+            OSError, ValueError) as exc:
         return PerformanceRow(case.name, scaled, throughput, False, note=str(exc))
 
 

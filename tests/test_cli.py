@@ -264,6 +264,22 @@ def test_cases_sharing_a_broken_baseline_report_the_same_note(workdir):
     assert [row["note"] for row in report["performance"]] == [str(parse_error.value)] * 2
 
 
+def test_run_all_reports_an_infinite_index_as_a_failed_diff(workdir, capsys):
+    # the parser reads a literal past binary64 as inf
+    (workdir / "inf_index.mc").write_text(
+        "float a[4];\nfloat x;\nint i = 0;\n"
+        f"for (i = 0; i < 4; i++) {{ x = a[1{'0' * 400}]; }}\n")
+    (workdir / "g3_tests.json").write_text(json.dumps([{
+        "name": "inf-index", "kind": "performance", "source": "inf_index.mc",
+        "baseline": "inf_index.mc", "pattern": [1]}]))
+    assert run_cli("run-all", "--config", workdir / "g3_config.json") == 1
+    note = "4:31: index inf out of bounds for 'a[4]'"
+    (row,) = json.loads((workdir / "out" / "report.json").read_text())["performance"]
+    assert not row["diff_passed"] and row["note"] == note
+    assert note in (workdir / "out" / "report.txt").read_text()
+    assert capsys.readouterr().err == ""
+
+
 def test_search_requires_costs_for_sim(workdir, capsys):
     assert run_cli("search", workdir / "g3.mc") == 2
     assert "--costs" in capsys.readouterr().err
@@ -378,6 +394,27 @@ def test_console_script_on_path():
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli("run-all", "--config", tmp_path / "nope.json") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"tests": None}, "config key 'tests' is required"),
+    ({"source": "nope.mc"}, "config key 'source': no such file {dir}/nope.mc"),
+    ({"backend": "gpu"}, "backend must be 'sim' or 'external', got 'gpu'"),
+    ({"backend": "external"}, "external backend needs a 'command' template"),
+    ({"command": "true"}, "exactly one backend: drop 'command' or use backend=external"),
+], ids=["missing-key", "missing-file", "unknown-backend", "external-without-command",
+        "sim-with-command"])
+def test_invalid_config_exits_2(workdir, capsys, change, message):
+    config = json.loads((workdir / "g3_config.json").read_text())
+    config.update(change)
+    path = workdir / "bad_config.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+    message = message.format(dir=workdir)
+    with pytest.raises(verify.ConfigError) as info:
+        cli.load_config(path)
+    assert str(info.value) == message
+    assert run_cli("run-all", "--config", path) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
 
 
 NESTED = """float a[8];

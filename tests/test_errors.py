@@ -11,6 +11,9 @@ checks bounds before device presence. The pinned messages hold in both
 tiers of the interpreter: closures, and loops run as generated source.
 """
 
+import json
+import math
+
 import pytest
 
 from offload_planner.cli import main
@@ -34,6 +37,7 @@ from offload_planner.offload import (
 
 from conftest import hot_iterations
 
+HUGE_LITERAL = "1" + "0" * 400
 PARTIAL_WRITE = ("float a[8]; float b[8]; float s = 0; int i = 0;\n"
                  "for (i = 0; i < 8; i++) { read_input(i); b[i] = i; }\n"
                  "for (i = 0; i < 4; i++) { a[i] = b[i] * 2.0; }\n")
@@ -121,6 +125,27 @@ CASES = {
         PARTIAL_WRITE,
         (1,), "a", None,
         "'a' holds untransferred device garbage at exit", TwoSpaceError),
+    "division-by-a-variable": (
+        "float x; float y = 2; int i = 0;\nfor (i = 0; i < 3; i++) { y = y - 1; x = 1 / y; }",
+        (1,), False, "2:44: division by zero",
+        "2:44: division by zero", EvalError),
+    "intrinsic-call-statement-evaluates-its-argument": (
+        "float x; float z; int i = 0;\nfor (i = 0; i < 2; i++) { sqrt(x / z); }",
+        (1,), False, "2:34: division by zero",
+        "2:34: division by zero", EvalError),
+    "opaque-call-in-a-loop": (
+        "float x; int i = 0;\nfor (i = 0; i < 2; i++) { x = mystery(i); }",
+        (), False, "2:31: opaque call 'mystery' has no value",
+        "2:31: opaque call 'mystery' has no value", EvalError),
+    # the parser reads a literal past binary64 as inf; inf * 0 is nan
+    "infinite-index": (
+        f"float a[4]; float x; int i = 0;\nfor (i = 0; i < 4; i++) {{ x = a[{HUGE_LITERAL}]; }}",
+        (1,), False, "2:31: index inf out of bounds for 'a[4]'",
+        "2:31: index inf out of bounds for 'a[4]'", EvalError),
+    "nan-index": (
+        f"float a[4]; int i = 0;\nfor (i = 0; i < 4; i++) {{ a[{HUGE_LITERAL} * 0] = 1.0; }}",
+        (1,), False, "2:27: index nan out of bounds for 'a[4]'",
+        "2:27: index nan out of bounds for 'a[4]'", EvalError),
     "copyout-of-a-variable-the-device-never-received": (
         "int n = 0; float x; float y; int i = 0; int j = 0;\n"
         "for (i = 0; i < 4; i++) { for (j = 0; j < n; j++) { x = 1.0; } }\ny = x;",
@@ -312,3 +337,50 @@ def test_analyze_of_a_program_past_the_cell_budget_exits_2(tmp_path, capsys):
     assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("error: ParseError: 2:11: array 'big' takes "
                                        "the program's arrays past 16777216 cells\n")
+
+
+# -- deep expressions: exit 2 naming the position, never a RecursionError ---
+
+@pytest.mark.parametrize("expr, col", [
+    ("(1.0 + " * 330 + "s" + ")" * 330, 1791),  # the 256th bracket opens level 257
+    ("s" + " + s" * 999, 1027),                  # the 256th operator is level 257
+    ("a[" * 256 + "0" + "]" * 256, 517),
+    ("sqrt(" * 256 + "s" + ")" * 256, 1285),
+], ids=["brackets", "operators", "indices", "calls"])
+def test_expressions_nested_too_deep_are_a_parse_error(expr, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(f"float a[4]; float s;\ns = {expr};")
+    assert str(info.value) == f"2:{col}: expression nests deeper than 256 levels"
+
+
+def test_analyze_of_an_expression_nested_too_deep_exits_2(tmp_path, capsys):
+    src = tmp_path / "deep.mc"
+    src.write_text("float s;\ns = " + "s + " * 1000 + "s;\n", encoding="utf-8")
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: ParseError: 2:1027: expression "
+                                       "nests deeper than 256 levels\n")
+
+
+def test_run_all_runs_the_deepest_expressions(tmp_path, capsys, corpus_dir, nests):
+    # each of these takes a pass up to three Python frames a level, in both
+    # tiers
+    deepest = ["(1.0 + " * 255 + "s" + ")" * 255, "a[" * 255 + "0" + "]" * 255,
+               "sqrt(" * 255 + "s" + ")" * 255, "s" + " + s" * 255]
+    body = " ".join(f"s = {expr};" for expr in deepest)
+    (tmp_path / "deep.mc").write_text(
+        f"float a[4]; float s; int i = 0;\nfor (i = 0; i < 4; i++) {{ {body} }}\n",
+        encoding="utf-8")
+    (tmp_path / "costs.json").write_text('{"default_work": 1.0}', encoding="utf-8")
+    (tmp_path / "tests.json").write_text(json.dumps([
+        {"name": f"deep-{bit}", "kind": "performance", "source": "deep.mc",
+         "baseline": "deep.mc", "pattern": [bit]} for bit in (0, 1)]), encoding="utf-8")
+    (tmp_path / "registry.json").write_text("{}", encoding="utf-8")
+    config = json.loads((corpus_dir / "g3_config.json").read_text(encoding="utf-8"))
+    config.update(source="deep.mc", costs="costs.json", tests="tests.json",
+                  registry="registry.json", components=[])
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for threshold in (math.inf, 1):
+        with hot_iterations(threshold):
+            assert main(["run-all", "--config", str(tmp_path / "config.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert nests and all(compiled for _, compiled in nests)

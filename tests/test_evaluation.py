@@ -234,6 +234,21 @@ def test_external_unparseable_output_is_invalid():
     assert not m.valid and "unparseable" in m.note
 
 
+@pytest.mark.parametrize("script, note", [
+    ("pass", "no output"),
+    ("print('1.0 one 0.5 1')", "unparseable output line '1.0 one 0.5 1'"),
+])
+def test_external_output_without_a_measurement_is_invalid(script, note):
+    m = evaluate_external(f'{PY} -c "{script}"', "s", "p")
+    assert not m.valid and m.note == note
+
+
+def test_external_empty_command_is_a_spawn_error():
+    with pytest.raises(SpawnError) as info:
+        evaluate_external("  ", "s", "p")
+    assert str(info.value) == "empty measurement command"
+
+
 def test_external_timeout_recorded():
     cmd = f'{PY} -c "import time; time.sleep(30)"'
     m = evaluate_external(cmd, "s", "p", timeout=0.5)
@@ -521,7 +536,10 @@ UNKNOWN_TRIP = ("int m; float x; float y; int i; int j; m = 3; "
     CostAnnotations(work={8: 5.0, 20: 0.0}),
     CostAnnotations(work={8: 5.0, 16: 1.0, 20: 5.0},
                     fault_patterns=frozenset({"10", "11"})),
-], ids=["trip-default-work", "trip-one-loop", "missing-annotation", "fault-patterns"])
+    # the ineligible loop without a work annotation carries no work
+    CostAnnotations(work={8: 5.0, 16: 1.0}),
+], ids=["trip-default-work", "trip-one-loop", "missing-annotation", "fault-patterns",
+        "unannotated-ineligible"])
 def test_sim_errors_match_the_per_pattern_model(costs):
     ast = parse_program(UNKNOWN_TRIP)
     loops = extract_loops(ast)
@@ -553,3 +571,15 @@ def test_unknown_trip_fails_only_the_patterns_that_use_its_term():
     pattern = OffloadPattern((1, 0))
     plan = plan_transfers(ast, loops, pattern)
     assert evaluate_sim(ast, loops, pattern, plan, costs).valid
+
+
+def test_a_loop_inside_one_without_a_trip_count_has_no_entry_count():
+    ast, loops = build("int m; float x; int i; int j; m = 3; "
+                       "for(i=0;i<m;i++){ for(j=0;j<4;j++){ x = x + 1.0; } }")
+    assert loops.eligible_ids() == (11,)  # 7, around it, has no trip count
+    for bits in ((0,), (1,)):
+        pattern = OffloadPattern(bits)
+        plan = plan_transfers(ast, loops, pattern)
+        with pytest.raises(CostModelError) as info:
+            evaluate_sim(ast, loops, pattern, plan, CostAnnotations(work={11: 1.0}))
+        assert str(info.value) == "loop 7 enclosing 11 has no static trip count"

@@ -71,6 +71,18 @@ def test_ga_config_from_json_converts_present_fields_only():
     assert GaConfig.from_json(cfg.to_json()) == cfg
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"generations": 0}, "population_size and generations must be positive"),
+    ({"crossover_rate": 1.5}, "crossover_rate must be in [0, 1]"),
+    ({"mutation_rate_per_bit": -0.1}, "mutation_rate_per_bit must be in [0, 1]"),
+    ({"elite_count": 16}, "elite_count must be in [0, population_size)"),
+])
+def test_ga_config_rejects_values_out_of_range(fields, message):
+    with pytest.raises(ValueError) as info:
+        GaConfig(**fields)
+    assert str(info.value) == message
+
+
 def test_no_eligible_loops_degenerates_to_single_evaluation():
     ast = parse_program("int x; x = 3;")
     loops = extract_loops(ast)

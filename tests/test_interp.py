@@ -7,6 +7,7 @@ import math
 import pytest
 
 from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
+from offload_planner.minic import interp
 from offload_planner.minic.interp import HOT_ITERATIONS, ITERATION_CAP
 
 from conftest import corpus_programs, hot_iterations, in_both_tiers
@@ -161,3 +162,23 @@ def test_a_nest_too_deep_for_one_function_stays_closures(body, first_emitted, ne
     loops = extract_loops(parse_program(src))
     assert nests == [(info.loop_id, k == first_emitted)
                      for k, info in enumerate(loops.infos[:first_emitted + 1])]
+
+
+def test_a_nest_past_the_indentation_limit_stays_closures(nests):
+    # compile() refuses 100 nested loops for their indentation before their
+    # blocks; each nest is tried in turn, down to the 20 loops that fit
+    depth = 100
+    src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(depth))
+    src += "".join(f"for (i{k} = 0; i{k} < 1; i{k}++) {{\n" for k in range(depth))
+    src += "x = x + 1.0;" + "}" * depth + "\n"
+    assert run(src)["x"] == 1.0
+    assert [compiled for _, compiled in nests] == [False] * 80 + [True]
+
+
+def test_an_emitter_bug_raises_its_syntax_error(monkeypatch):
+    # only a nest too deep for one function falls back to closures
+    monkeypatch.setattr(interp._Nest, "mark", lambda self, name, dev: self.line("if"))
+    ast = parse_program("float s; int i = 0; for (i = 0; i < 4; i++) { s = s + i; }")
+    with hot_iterations(1), pytest.raises(SyntaxError) as info:
+        interpret(ast, loops=extract_loops(ast))
+    assert info.value.msg == "invalid syntax"

@@ -26,6 +26,7 @@ from offload_planner.offload import (
     InvalidPattern,
     OffloadPattern,
     TransferOp,
+    TransferPlan,
     offloaded_ids,
     plan_transfers,
     simulate_with_plan,
@@ -248,6 +249,15 @@ def test_invalid_pattern_rejected():
                               loops.infos[2].loop_id)
     with pytest.raises(InvalidPattern):
         plan_transfers(ast, loops, nested_bits)
+
+
+def test_two_space_model_rejects_a_nested_pattern():
+    ast, loops = setup("nested_hoist.mc")
+    outer, inner = loops.infos[1].loop_id, loops.infos[2].loop_id
+    with pytest.raises(InvalidPattern) as info:
+        simulate_with_plan(ast, loops, pattern_for(loops, outer, inner), TransferPlan(()))
+    assert str(info.value) == (f"loop {inner} and its ancestor {outer} are both "
+                               f"offloaded; regions cannot nest")
 
 
 def random_valid_patterns(loops, count, rng):

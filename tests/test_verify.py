@@ -116,6 +116,17 @@ def test_scaled_time_monotone_in_units():
     assert scaled == sorted(scaled, reverse=True)
 
 
+def test_scaled_time_without_device_units():
+    # a CPU-only allocation: no device time scales to 0, any other is an error
+    cpu_only = Allocation(2, 0, 2000.0, True)
+    report = run_verification(cpu_only, Measurement(10.0, 10.0, 0.0, True),
+                              [sim_case()], {}, [])
+    assert report.performance[0].scaled_time == 5.0
+    with pytest.raises(ConfigError) as info:
+        run_verification(cpu_only, MEASURE_10_5, [sim_case()], {}, [])
+    assert str(info.value) == "device time measured but the allocation has no device units"
+
+
 def test_invalid_measurement_reports_infinite_time():
     report = run_verification(ALLOC_2_1, Measurement.invalid("boom"),
                               [sim_case()], {}, [])
