@@ -48,7 +48,6 @@ from .offload import (
 )
 from .planner import (
     Allocation,
-    CapExceeded,
     CpuOnly,
     Infeasible,
     NonPositiveTime,
@@ -63,9 +62,9 @@ EXIT_READY = 0
 EXIT_ATTENTION = 1
 EXIT_CONFIG = 2
 
-_CONFIG_FAULTS = (ConfigError, Infeasible, NonPositiveTime, CapExceeded,
-                  MissingAnnotation, CostModelError, ParseError, SpawnError,
-                  EvalError, OSError, ValueError, KeyError)
+_CONFIG_FAULTS = (ConfigError, Infeasible, NonPositiveTime, MissingAnnotation,
+                  CostModelError, ParseError, SpawnError, EvalError, OSError,
+                  ValueError, KeyError)
 
 
 @dataclass

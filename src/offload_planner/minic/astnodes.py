@@ -9,6 +9,7 @@ equivalent text compare structurally equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 INTRINSICS = ("sin", "cos", "sqrt")
@@ -222,8 +223,18 @@ def to_source(node: Node, indent: int = 0) -> str:
 
 def _expr(node: Node) -> str:
     if isinstance(node, Num):
+        # digits without an exponent, which the parser reads back to the
+        # same value; MiniC has no spelling for inf, but 1e309 parses to it
         v = node.value
-        return str(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+        if v == math.inf:
+            return "1" + "0" * 309
+        if v.is_integer():
+            return str(int(v))
+        mantissa, _, exponent = repr(v).partition("e")
+        if not exponent:
+            return mantissa
+        # a fraction's exponent is negative: move the point left
+        return "0." + "0" * (-int(exponent) - 1) + mantissa.replace(".", "")
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Index):

@@ -47,6 +47,11 @@ CELL_BUDGET = 2 ** 24
 # and each operator, index or call above a leaf: passes recurse up to three
 # Python frames a level, and the first fails at about 330 levels
 EXPR_DEPTH = 256
+# most levels statements may nest, one for each "{" block and each "for"
+# header: the parser recurses two Python frames a level, and run-all in one
+# process first fails at 110 nested for headers that hold an expression of
+# EXPR_DEPTH - 1 bracketed levels, at 329 without it
+STMT_DEPTH = 64
 
 _TOKEN_RE = re.compile(
     r"""
@@ -116,6 +121,7 @@ class _Parser:
         self.symbols: dict[str, VarDecl] = {}
         self.cells = 0  # array cells declared so far
         self.depth = 0  # whole expressions open, one inside the other
+        self.nesting = 0  # blocks and for headers open, one inside the other
         self.height = 0  # levels of the expression parsed last
 
     # -- token plumbing --------------------------------------------------
@@ -189,24 +195,31 @@ class _Parser:
 
     def stmt(self) -> Node:
         tok = self.peek()
-        if tok.kind == "for":
-            return self.for_stmt()
-        if tok.kind == "{":
-            nid = self.new_id()
-            self.advance()
-            body = []
-            while self.peek().kind != "}":
-                if self.peek().kind == "eof":
-                    raise ParseError("expected '}', found end of input", tok.line, tok.col)
-                body.append(self.stmt())
-            self.expect("}")
-            return Block(node_id=nid, line=tok.line, col=tok.col, body=tuple(body))
+        if tok.kind in ("for", "{"):
+            self.nesting += 1
+            if self.nesting > STMT_DEPTH:
+                raise ParseError(f"statement nests deeper than {STMT_DEPTH} levels",
+                                 tok.line, tok.col)
+            node = self.for_stmt() if tok.kind == "for" else self.block()
+            self.nesting -= 1
+            return node
         if tok.kind == "ident":
             if self.peek(1).kind == "(":
                 return self.call_stmt()
             return self.assign_stmt()
         got = tok.text or "end of input"
         raise ParseError(f"expected a statement, found {got!r}", tok.line, tok.col)
+
+    def block(self) -> Block:
+        tok = self.advance()
+        nid = self.new_id()
+        body = []
+        while self.peek().kind != "}":
+            if self.peek().kind == "eof":
+                raise ParseError("expected '}', found end of input", tok.line, tok.col)
+            body.append(self.stmt())
+        self.expect("}")
+        return Block(node_id=nid, line=tok.line, col=tok.col, body=tuple(body))
 
     def assign_stmt(self) -> Assign:
         tok = self.peek()

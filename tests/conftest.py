@@ -14,6 +14,12 @@ def corpus_dir() -> Path:
     return CORPUS
 
 
+def ratio_distance(cpu_units: int, dev_units: int, ratio) -> float:
+    """Log-space distance of a unit pair from the ideal ratio; 0 on it. The
+    objective of the planner oracles, which search every affordable pair."""
+    return abs(math.log((cpu_units * ratio.dev) / (dev_units * ratio.cpu)))
+
+
 def corpus_programs() -> list[Path]:
     return sorted(CORPUS.glob("*.mc"))
 

@@ -33,10 +33,9 @@ from offload_planner.planner import (
     ResourceRatio,
     compute_ratio,
     plan_amount,
-    ratio_distance,
 )
 
-from conftest import CORPUS, corpus_programs
+from conftest import CORPUS, corpus_programs, ratio_distance
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -67,6 +67,17 @@ def test_plan_infeasible_budget_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_plan_sizes_a_lopsided_ratio_in_closed_form(tmp_path):
+    # ratio 1:999999: no multiple fits 2000/month, so one CPU unit and the
+    # most device units the rest affords, from about 4e6 feasible pairs
+    assert run_cli("plan", "--measure", "1,999999", "--price-cpu", "1",
+                   "--price-dev", "1", "--budget", "2000", "-o", tmp_path) == 0
+    data = json.loads((tmp_path / "plan.json").read_text())
+    assert data["ratio"] == {"cpu": 1, "dev": 999999}
+    assert data["allocation"] == {"cpu_units": 1, "dev_units": 1999,
+                                  "monthly_cost": 2000.0, "ratio_kept": False}
+
+
 def test_analyze_writes_loop_table(workdir):
     out = workdir / "out"
     code = run_cli("analyze", workdir / "g3.mc",

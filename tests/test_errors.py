@@ -26,6 +26,7 @@ from offload_planner.minic import (
     parse_program,
 )
 from offload_planner.minic.interp import Machine
+from offload_planner.minic.parser import STMT_DEPTH
 from offload_planner.offload import (
     HOST_TO_DEVICE,
     OffloadPattern,
@@ -35,7 +36,7 @@ from offload_planner.offload import (
     simulate_with_plan,
 )
 
-from conftest import hot_iterations
+from conftest import hot_iterations, in_both_tiers
 
 HUGE_LITERAL = "1" + "0" * 400
 PARTIAL_WRITE = ("float a[8]; float b[8]; float s = 0; int i = 0;\n"
@@ -361,26 +362,76 @@ def test_analyze_of_an_expression_nested_too_deep_exits_2(tmp_path, capsys):
                                        "nests deeper than 256 levels\n")
 
 
-def test_run_all_runs_the_deepest_expressions(tmp_path, capsys, corpus_dir, nests):
-    # each of these takes a pass up to three Python frames a level, in both
-    # tiers
-    deepest = ["(1.0 + " * 255 + "s" + ")" * 255, "a[" * 255 + "0" + "]" * 255,
-               "sqrt(" * 255 + "s" + ")" * 255, "s" + " + s" * 255]
-    body = " ".join(f"s = {expr};" for expr in deepest)
-    (tmp_path / "deep.mc").write_text(
-        f"float a[4]; float s; int i = 0;\nfor (i = 0; i < 4; i++) {{ {body} }}\n",
-        encoding="utf-8")
+# each of these takes a pass up to three Python frames a level, in both tiers
+DEEPEST_EXPRESSIONS = ["(1.0 + " * 255 + "s" + ")" * 255, "a[" * 255 + "0" + "]" * 255,
+                       "sqrt(" * 255 + "s" + ")" * 255, "s" + " + s" * 255]
+
+
+def write_run_all(tmp_path, corpus_dir, source, patterns):
+    """The config of a run-all of ``source`` with a performance case for
+    each pattern, and no regression suites."""
+    (tmp_path / "deep.mc").write_text(source, encoding="utf-8")
     (tmp_path / "costs.json").write_text('{"default_work": 1.0}', encoding="utf-8")
     (tmp_path / "tests.json").write_text(json.dumps([
-        {"name": f"deep-{bit}", "kind": "performance", "source": "deep.mc",
-         "baseline": "deep.mc", "pattern": [bit]} for bit in (0, 1)]), encoding="utf-8")
+        {"name": f"deep-{n}", "kind": "performance", "source": "deep.mc",
+         "baseline": "deep.mc", "pattern": pattern} for n, pattern in enumerate(patterns)]),
+        encoding="utf-8")
     (tmp_path / "registry.json").write_text("{}", encoding="utf-8")
     config = json.loads((corpus_dir / "g3_config.json").read_text(encoding="utf-8"))
     config.update(source="deep.mc", costs="costs.json", tests="tests.json",
                   registry="registry.json", components=[])
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return ["run-all", "--config", str(tmp_path / "config.json")]
+
+
+def test_run_all_runs_the_deepest_expressions(tmp_path, capsys, corpus_dir, nests):
+    body = " ".join(f"s = {expr};" for expr in DEEPEST_EXPRESSIONS)
+    argv = write_run_all(
+        tmp_path, corpus_dir,
+        f"float a[4]; float s; int i = 0;\nfor (i = 0; i < 4; i++) {{ {body} }}\n",
+        [[0], [1]])
     for threshold in (math.inf, 1):
         with hot_iterations(threshold):
-            assert main(["run-all", "--config", str(tmp_path / "config.json")]) == 0
+            assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert nests and all(compiled for _, compiled in nests)
+
+
+# -- deep statements: exit 2 naming the position, never a RecursionError ----
+
+@pytest.mark.parametrize("nest, col", [
+    ("{ " * 65 + "s = 1;" + " }" * 65, 129),
+    ("for (i = 0; i < 1; i++) " * 65 + "s = 1;", 1537),
+    ("for (i = 0; i < 1; i++) { " * 33 + "s = 1;" + " }" * 33, 833),
+], ids=["blocks", "for headers", "both"])
+def test_statements_nested_too_deep_are_a_parse_error(nest, col):
+    # the 65th "{" or "for" opens level 65
+    with pytest.raises(ParseError) as info:
+        parse_program(f"float s; int i;\n{nest}")
+    assert str(info.value) == f"2:{col}: statement nests deeper than 64 levels"
+
+
+@pytest.mark.parametrize("nest, col", [
+    ("{" * 1000 + "x = 1;" + "}" * 1000, 65),
+    ("for (i = 0; i < 1; i++) " * 400 + "x = 1;", 1537),
+], ids=["blocks", "for headers"])
+def test_analyze_of_statements_nested_too_deep_exits_2(tmp_path, capsys, nest, col):
+    src = tmp_path / "deep.mc"
+    src.write_text(f"float x; int i;\n{nest}\n", encoding="utf-8")
+    assert main(["analyze", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: ParseError: 2:{col}: statement "
+                                       "nests deeper than 64 levels\n")
+
+
+def test_run_all_runs_the_deepest_statements_around_the_deepest_expression(
+        tmp_path, capsys, corpus_dir):
+    # headers that re-drive i, then the eligible loop over j and its block:
+    # STMT_DEPTH levels. The last header over i is eligible too; its bit
+    # stays 0. Brackets take the most parser frames a level
+    nest = ("for (i = 0; i < 1; i++) " * (STMT_DEPTH - 2)
+            + f"for (j = 0; j < 1; j++) {{ s = {DEEPEST_EXPRESSIONS[0]}; }}")
+    argv = write_run_all(tmp_path, corpus_dir,
+                         f"float a[4]; float s; int i; int j;\n{nest}\n",
+                         [[0, 0], [0, 1]])
+    assert in_both_tiers(lambda: main(argv)) == 0
+    assert capsys.readouterr().err == ""

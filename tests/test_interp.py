@@ -164,15 +164,15 @@ def test_a_nest_too_deep_for_one_function_stays_closures(body, first_emitted, ne
                      for k, info in enumerate(loops.infos[:first_emitted + 1])]
 
 
-def test_a_nest_past_the_indentation_limit_stays_closures(nests):
-    # compile() refuses 100 nested loops for their indentation before their
-    # blocks; each nest is tried in turn, down to the 20 loops that fit
-    depth = 100
+def test_the_deepest_nest_the_parser_accepts_stays_closures(nests):
+    # 64 nested loops, parser.STMT_DEPTH levels: compile() refuses each
+    # nest for its blocks, in turn, down to the 20 loops that fit
+    depth = 64
     src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(depth))
-    src += "".join(f"for (i{k} = 0; i{k} < 1; i{k}++) {{\n" for k in range(depth))
-    src += "x = x + 1.0;" + "}" * depth + "\n"
+    src += "".join(f"for (i{k} = 0; i{k} < 1; i{k}++)\n" for k in range(depth))
+    src += "x = x + 1.0;\n"
     assert run(src)["x"] == 1.0
-    assert [compiled for _, compiled in nests] == [False] * 80 + [True]
+    assert [compiled for _, compiled in nests] == [False] * 44 + [True]
 
 
 def test_an_emitter_bug_raises_its_syntax_error(monkeypatch):

@@ -130,6 +130,16 @@ def test_round_trip_expression_shapes():
     assert call.name == "helper" and not call.intrinsic and len(call.args) == 3
 
 
+@pytest.mark.parametrize("literal", [
+    "1" + "0" * 400,     # past binary64: parses to inf
+    "1" + "0" * 20,      # an integer too long for a plain repr
+    "0.00001",           # a fraction whose repr has an exponent
+])
+def test_round_trip_number_literals(literal):
+    ast = parse_program(f"float x; x = {literal};")
+    assert parse_program(to_source(ast)) == ast
+
+
 def test_precedence():
     ast = parse_program("int x; x = 1 + 2 * 3;")
     value = ast.items[1].value

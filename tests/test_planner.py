@@ -9,7 +9,6 @@ import pytest
 from offload_planner.planner import (
     CPU_ONLY,
     Allocation,
-    CapExceeded,
     CpuOnly,
     Infeasible,
     NonPositiveTime,
@@ -18,9 +17,10 @@ from offload_planner.planner import (
     compute_ratio,
     plan_amount,
     plan_device_bound,
-    ratio_distance,
     round_half_up,
 )
+
+from conftest import ratio_distance
 
 
 def oracle_plan(ratio, prices, budget):
@@ -199,7 +199,13 @@ def check_oracle_equivalence(draw):
     (CPU_ONLY, 18.67, 1.0, 130.69, (7, 0)),
     ((1, 1), 18.84101, 4.4, 302.13313, (13, 13)),
     # the budget is p_c + p_g, yet (budget - p_g) / p_c rounds below one
-    ((7, 36), 27.0, 9.16, 36.16, (1, 1)),
+    ((36, 1), 27.0, 9.16, 36.16, (1, 1)),
+    # no multiple fits, and the max_cpu or max_dev quotient rounds one unit
+    # low, then one unit high
+    ((43, 1), 42.2, 36.44, 669.44, (15, 1)),
+    ((1, 60), 55.81, 59.468, 2731.87, (1, 45)),
+    ((24, 1), 48.24, 53.9, 536.3, (9, 1)),
+    ((1, 53), 15.4, 54.313, 1807.729, (1, 32)),
 ])
 def test_amount_buys_what_the_budget_affords_at_its_edges(ratio, p_c, p_g, budget, units):
     ratio = ratio if ratio is CPU_ONLY else ResourceRatio(*ratio)
@@ -249,9 +255,8 @@ def test_fallback_matches_grid_scan_randomized():
     rng = random.Random(20261018)
     checked = 0
     while checked < 400:
-        cpu, dev = rng.randint(1, 40), rng.randint(1, 40)
-        if math.gcd(cpu, dev) != 1:
-            continue
+        units = rng.randint(2, 300)
+        cpu, dev = (units, 1) if rng.random() < 0.5 else (1, units)
         ratio = ResourceRatio(cpu, dev)
         prices = PriceBook(round(rng.uniform(1, 60), rng.choice((0, 2))),
                            round(rng.uniform(1, 60), rng.choice((0, 2))))
@@ -273,12 +278,13 @@ def test_fallback_matches_grid_scan_randomized():
 
 
 @pytest.mark.parametrize("ratio, p_c, p_g, budget", [
-    # budget / price rounds below the last affordable device count
-    ((25, 12), 45.1, 54.61, 913.96), ((7, 1), 11.6, 6.7, 29.9),
-    ((40, 1), 9.567, 39.121, 326.131),
-    # budget / price rounds up to a device count the budget cannot buy
-    ((9, 19), 51.4, 34.0, 238.79999999999998), ((3, 7), 23.867, 15.0, 122.734),
-    ((19, 20), 20.729, 32.511, 937.591),
+    # the budget is exactly the cost of (max_cpu, 1)
+    ((7, 1), 11.6, 6.7, 29.9), ((40, 1), 9.567, 39.121, 326.131),
+    # the max_cpu or max_dev quotient rounds one unit below the last
+    # affordable count
+    ((43, 1), 42.2, 36.44, 669.44), ((1, 60), 55.81, 59.468, 2731.87),
+    # it rounds up to a count the budget cannot buy
+    ((24, 1), 48.24, 53.9, 536.3), ((1, 53), 15.4, 54.313, 1807.729),
 ])
 def test_fallback_matches_grid_scan_at_budget_edges(ratio, p_c, p_g, budget):
     ratio, prices = ResourceRatio(*ratio), PriceBook(p_c, p_g)
@@ -298,10 +304,10 @@ def test_device_bound_buys_one_cpu_and_the_devices_the_rest_affords(p_c, p_g, bu
     assert p_c + (dev_units + 1) * p_g > budget
 
 
-def test_fallback_enumeration_cap():
+def test_fallback_has_no_enumeration_cap():
     # the ratio multiple never fits, and the feasible grid is ~4e6 pairs
-    with pytest.raises(CapExceeded):
-        plan_amount(ResourceRatio(1, 999999), PriceBook(1.0, 1.0), 2000.0)
+    assert (plan_amount(ResourceRatio(1, 999999), PriceBook(1.0, 1.0), 2000.0)
+            == Allocation(1, 1999, 2000.0, False))
 
 
 def test_round_half_up():
@@ -314,6 +320,8 @@ def test_round_half_up():
 def test_ratio_validation():
     with pytest.raises(ValueError):
         ResourceRatio(2, 4)
+    with pytest.raises(ValueError):
+        ResourceRatio(2, 3)
     with pytest.raises(ValueError):
         ResourceRatio(0, 1)
 
