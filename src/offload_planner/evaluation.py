@@ -272,8 +272,9 @@ def evaluate_external(cmd_template: str, source_path, pattern_path,
     `t_total t_cpu_part t_dev_part valid`. The template is split into
     arguments first, then the {src} and {pattern} slots are filled in each
     argument, so a path with spaces stays one argument. Any failing outcome
-    (nonzero exit, bad output, timeout) is an invalid measurement; only a
-    command that cannot start raises SpawnError."""
+    (nonzero exit, bad output, a time that is negative or not finite,
+    timeout) is an invalid measurement; only a command that cannot start
+    raises SpawnError."""
     argv = [arg.format(src=source_path, pattern=pattern_path)
             for arg in shlex.split(cmd_template)]
     if not argv:
@@ -298,6 +299,8 @@ def evaluate_external(cmd_template: str, source_path, pattern_path,
         return Measurement.invalid(f"unparseable output line {lines[-1]!r}")
     if fields[3] == "0":
         return Measurement.invalid("command reported invalid result")
+    if not all(0.0 <= t < math.inf for t in (t_total, t_cpu, t_dev)):
+        return Measurement.invalid(f"times must be finite and non-negative, got {lines[-1]!r}")
     return Measurement(t_total, t_cpu, t_dev, valid=True)
 
 

@@ -15,10 +15,9 @@ marking that space needs. The compiler has two tiers:
   * generated Python source, several times faster per iteration, but
     compile() costs more than it saves on a cold loop. A hot loop (its
     static iteration count, trip count times entry count, reaches
-    HOT_ITERATIONS) and its whole subtree become one function. Hotness
-    comes from the program's loop table, so a run without one uses
-    closures only. A nest that compile() rejects as too deeply nested for
-    one function stays closures, and its inner hot loops are tried in turn.
+    HOT_ITERATIONS) and its whole subtree become one source, compiled
+    once, with a function per loop. Hotness comes from the program's loop
+    table, so a run without one uses closures only.
 Both tiers read and write the same memories, in the same order, with the
 same checks and messages: an element write computes its value before its
 index, a loop test reads its condition variable before the bound, a binary
@@ -59,8 +58,6 @@ HOT_ITERATIONS = 1024
 # Operators inlined into one emitted expression, each in its parentheses;
 # CPython's tokenizer refuses 200 nested parentheses.
 _MAX_INLINE = 32
-# compile()'s refusals of a function nested too deep, in blocks or in indentation
-_TOO_DEEP = ("too many statically nested blocks", "too many levels of indentation")
 
 _INTRINSIC_FN = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
@@ -224,9 +221,7 @@ class Machine:
 
     def loop(self, loop: ForLoop, dev: bool):
         if loop.node_id in self.hot:
-            nest = _Nest(self).build(loop, dev)
-            if nest is not None:
-                return nest
+            return _Nest(self).build(loop, dev)
         dev = dev or loop.node_id in self.roots
         memory, mark = self.space(dev)
         name, test, advance = loop.var, loop.cond_var, loop.step_var
@@ -342,8 +337,10 @@ def _atomic(code: str) -> bool:
 
 
 class _Nest:
-    """The generated-source tier: one loop nest as the Python source of a
-    function, emitted statement by statement in evaluation order.
+    """The generated-source tier: one loop nest as Python source, emitted
+    statement by statement in evaluation order, a function per loop, which
+    an enclosing loop calls. So none nests deeper than a ``while`` and a
+    ``try``, and compile() takes any nest the parser accepts.
 
     Every check becomes a statement, so an expression's code is the lines
     it emits, which compute and check its parts into temporaries, and a
@@ -357,43 +354,38 @@ class _Nest:
     writes, starts afresh. In the code,
     ``H`` and ``D`` are the machine's memories, ``F`` its device-fresh
     names and ``P`` is POISON; every other object it needs is bound under
-    a name of its own. All are the function's default arguments, so the
-    code reads them as locals."""
+    a name of its own. A function's default arguments are those of
+    ``base`` and those bound while it was emitted: it reads them as locals."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
         self.names = {"H": machine.host, "D": machine.device, "F": machine.fresh, "P": POISON,
                       "E": EvalError, "TE": TwoSpaceError, "BE": _bounds_error,
                       "CE": _intrinsic_error, "tick": machine.ticks.__next__}
-        self.lines: list = []
-        self.indent = 1
+        self.base = tuple(self.names)  # every function's first parameters
+        self.lines, self.params = [], []  # of the function being emitted
         self.temps = itertools.count()
         self.checked: dict = {}  # (index code, size) -> its checked temporary
+        self.defs: list = []  # the lines of each function, an inner loop's first
 
     def build(self, loop: ForLoop, dev: bool):
-        """The nest's function, None when compile() finds it nested too
-        deeply for one function; any other SyntaxError is a bug, raised."""
-        self.loop(loop, dev)
-        params = ", ".join(f"{name}={name}" for name in self.names)
-        source = "\n".join([f"def nest({params}):"] + self.lines) + "\n"
-        try:
-            code = compile(source, f"<loop {loop.line}:{loop.col}>", "exec")
-        except SyntaxError as exc:
-            if exc.msg in _TOO_DEEP:
-                return None
-            raise
+        """The function of the nest's root; a SyntaxError is a bug, raised."""
+        root = self.loop(loop, dev)
+        source = "".join("\n".join(lines) + "\n" for lines in self.defs)
+        code = compile(source, f"<loop {loop.line}:{loop.col}>", "exec")
         namespace = dict(self.names)
         exec(code, namespace)
-        return namespace["nest"]
+        return namespace[root]
 
     # -- lines and names ------------------------------------------------------
 
     def line(self, text: str, at: int | None = None):
-        self.lines.insert(len(self.lines) if at is None else at, "    " * self.indent + text)
+        self.lines.insert(len(self.lines) if at is None else at, "    " + text)
 
     def bind(self, value) -> str:
         name = f"_k{len(self.names)}"
         self.names[name] = value
+        self.params.append(name)
         return name
 
     def temp(self, code: str, at: int | None = None) -> str:
@@ -412,7 +404,7 @@ class _Nest:
         if isinstance(stmt, Assign):
             self.assign(stmt, dev)
         elif isinstance(stmt, ForLoop):
-            self.loop(stmt, dev)
+            self.line(f"{self.loop(stmt, dev)}()")
         elif isinstance(stmt, Block):
             for inner in stmt.body:
                 self.stmt(inner, dev)
@@ -453,14 +445,16 @@ class _Nest:
             run = _sequence([partial(hook, self.machine) for hook in hooks])
             self.line(f"{self.bind(run)}()")
 
-    def loop(self, loop: ForLoop, dev: bool):
+    def loop(self, loop: ForLoop, dev: bool) -> str:
+        """Emits the loop and its hooks as a function; returns its name."""
+        outer = self.lines, self.params
+        self.lines, self.params = [], list(self.base)
         dev = dev or loop.node_id in self.machine.roots
         memory = "D" if dev else "H"
         self.hooks(loop, "before")
         self.line(f"{memory}[{loop.var!r}] = {self.expr(loop.init, dev)}")
         self.mark(loop.var, dev)
         self.line("while True:")
-        self.indent += 1
         self.checked, start = {}, len(self.lines)
         test = f"{memory}[{loop.cond_var!r}]"
         bound = self.expr(loop.bound, dev)  # its checks, inside the loop
@@ -472,8 +466,13 @@ class _Nest:
         self.stmt(loop.body, dev)
         self.line(f"{memory}[{loop.step_var!r}] += {float(loop.step)!r}")
         self.mark(loop.step_var, dev)
-        self.indent -= 1
+        self.lines[start:] = ["    " + line for line in self.lines[start:]]  # the while's body
         self.hooks(loop, "after")
+        params = ", ".join(f"{name}={name}" for name in self.params)
+        name = f"nest{len(self.defs) or ''}"
+        self.defs.append([f"def {name}({params}):"] + self.lines)
+        self.lines, self.params = outer
+        return name
 
     # -- expressions ------------------------------------------------------------
 

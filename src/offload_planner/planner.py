@@ -6,13 +6,16 @@ half-up to an integer against the other side's single unit, so one side of
 every ratio is 1. The allocation keeps that ratio if any whole multiple of
 it fits the monthly budget (taking the largest); otherwise it takes the
 feasible unit pair nearest the ratio, (max_cpu, 1) for a ratio (u, 1) and
-(1, max_dev) for (1, u), in closed form.
+(1, max_dev) for (1, u), in closed form. Budgets and prices must be finite,
+and no side gets 2**53 units or more, past the counts binary64 holds exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+
+UNIT_LIMIT = 2**53  # the first unit count refused
 
 
 class NonPositiveTime(Exception):
@@ -52,8 +55,10 @@ class PriceBook:
     dev_unit_price: float
 
     def __post_init__(self):
-        if self.cpu_unit_price <= 0 or self.dev_unit_price <= 0:
-            raise ValueError("unit prices must be positive")
+        for side, price in (("CPU", self.cpu_unit_price), ("device", self.dev_unit_price)):
+            if not 0 < price < math.inf:
+                raise ValueError(f"the {side} unit price must be positive and finite, "
+                                 f"got {price}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def _one_and_most(prices: PriceBook, budget: float, grow_cpu: bool) -> Allocatio
     on the other: (n, 1) if ``grow_cpu``, else (1, n)."""
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
     price, fixed = (p_c, p_g) if grow_cpu else (p_g, p_c)
-    units = _affordable(budget, lambda n: n * price + fixed, (budget - fixed) / price)
+    units = _affordable(budget, prices, lambda n: n * price + fixed)
     if units < 1:
         raise Infeasible(
             f"budget {budget} cannot cover one CPU ({p_c}) plus one device "
@@ -111,17 +116,21 @@ def _one_and_most(prices: PriceBook, budget: float, grow_cpu: bool) -> Allocatio
     return Allocation(cpu_units, dev_units, units * price + fixed, ratio_kept=False)
 
 
-def _affordable(budget: float, cost, quotient: float) -> int:
-    """Most units whose monthly ``cost(units)`` fits in ``budget``, tested
-    with the expression the Allocation reports. The float ``quotient`` that
-    estimates it can round to one unit too many or too few, so it is
-    corrected by that test."""
-    units = max(0, math.floor(quotient))
-    while units >= 1 and cost(units) > budget:
-        units -= 1
-    while cost(units + 1) <= budget:
-        units += 1
-    return units
+def _affordable(budget: float, prices: PriceBook, cost, per: int = 1) -> int:
+    """Most counts whose monthly ``cost(count)`` fits in ``budget``, tested
+    with the expression the Allocation reports, by bisection: ``cost``
+    never falls as the count grows, though neighbouring counts can cost the
+    same float. A count buys ``per`` units of its larger side."""
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
+    low, high = 0, -(-UNIT_LIMIT // per)  # high: the first count refused
+    if cost(high) <= budget:
+        raise ValueError(f"budget {budget} buys 2**53 units or more at {prices.cpu_unit_price} "
+                         f"a CPU and {prices.dev_unit_price} a device unit")
+    while high - low > 1:  # low fits, or is 0; high does not fit
+        mid = (low + high) // 2
+        low, high = (mid, high) if cost(mid) <= budget else (low, mid)
+    return low
 
 
 def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
@@ -135,7 +144,7 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
         raise Infeasible(f"budget must be positive, got {budget}")
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
     if isinstance(ratio, CpuOnly):
-        cpu_units = _affordable(budget, lambda n: n * p_c, budget / p_c)
+        cpu_units = _affordable(budget, prices, lambda n: n * p_c)
         if cpu_units < 1:
             raise Infeasible(
                 f"budget {budget} cannot buy one CPU unit at {p_c}/month")
@@ -144,7 +153,7 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
     def multiple_cost(k: int) -> float:
         return k * ratio.cpu * p_c + k * ratio.dev * p_g
 
-    k = _affordable(budget, multiple_cost, budget / (ratio.cpu * p_c + ratio.dev * p_g))
+    k = _affordable(budget, prices, multiple_cost, max(ratio.cpu, ratio.dev))
     if k >= 1:
         return Allocation(k * ratio.cpu, k * ratio.dev, multiple_cost(k), ratio_kept=True)
     return _one_and_most(prices, budget, grow_cpu=ratio.dev == 1)

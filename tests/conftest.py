@@ -89,17 +89,29 @@ def in_both_tiers(run):
 
 @pytest.fixture
 def nests(monkeypatch):
-    """Each attempt to emit a loop nest as source, in order: (loop id,
-    whether it compiled); a nest too deep to emit stays closures."""
+    """The loop id of each hot root emitted as source, in order."""
     from offload_planner.minic import interp
 
     build = interp._Nest.build
 
     def spy(self, loop, dev):
-        nest = build(self, loop, dev)
-        attempts.append((loop.node_id, nest is not None))
-        return nest
+        roots.append(loop.node_id)
+        return build(self, loop, dev)
 
-    attempts = []
+    roots = []
     monkeypatch.setattr(interp._Nest, "build", spy)
-    return attempts
+    return roots
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Each source the generated tier passes to compile(), in order."""
+    from offload_planner.minic import interp
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    sources = []
+    monkeypatch.setattr(interp, "compile", spy, raising=False)
+    return sources

@@ -238,7 +238,7 @@ def test_generated_source_raises_the_pinned_messages(case, nests):
         with pytest.raises(EvalError) as info:
             run_two_space(src, bits, drop)
         assert (type(info.value), str(info.value)) == (kind, message)
-    assert nests and all(compiled for _, compiled in nests)
+    assert nests
 
 
 def test_generated_source_counts_the_iteration_cap_on_the_shared_ticks(nests):
@@ -247,7 +247,7 @@ def test_generated_source_counts_the_iteration_cap_on_the_shared_ticks(nests):
     with hot_iterations(1), pytest.raises(EvalError) as info:
         interpret(ast, iteration_cap=1000, loops=extract_loops(ast))
     assert str(info.value) == "2:1: iteration cap (1000) exceeded"
-    assert nests == [(ast.items[2].node_id, True)]
+    assert nests == [ast.items[2].node_id]
     # four host iterations emitted as source, then two in a region run as
     # closures: the cap counts them together
     src = ("float s; int i = 0; int j = 0;\n"
@@ -261,7 +261,7 @@ def test_generated_source_counts_the_iteration_cap_on_the_shared_ticks(nests):
         with pytest.raises(EvalError) as info:
             Machine(iteration_cap=5, roots=region, loops=loops).run(ast)
     assert str(info.value) == "3:1: iteration cap (5) exceeded"
-    assert nests == [(loops.infos[0].loop_id, True)] * 2
+    assert nests == [loops.infos[0].loop_id] * 2
 
 
 # -- numeric overflow: exit 2 naming the value, never a traceback ----------
@@ -277,6 +277,48 @@ def test_plan_rejects_a_time_split_without_a_finite_ratio(tmp_path, capsys,
     code = main(["plan", "--measure", measure, "--price-cpu", "1", "--price-dev", "1",
                  "--budget", "10", "-o", str(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
+# plan inputs no allocation can be sized from: each exits 2 naming the cause
+PLAN_FAULTS = {
+    "huge-budget": ("10,5", "1000", "4000", "1e300",
+                    "budget 1e+300 buys 2**53 units or more at 1000.0 a CPU and 4000.0 "
+                    "a device unit"),
+    "huge-budget-cpu-only": ("10,0", "1000", "4000", "1e300",
+                             "budget 1e+300 buys 2**53 units or more at 1000.0 a CPU "
+                             "and 4000.0 a device unit"),
+    "tiny-prices": ("10,5", "1e-300", "1e-300", "1",
+                    "budget 1.0 buys 2**53 units or more at 1e-300 a CPU and 1e-300 "
+                    "a device unit"),
+    "infinite-budget": ("10,5", "1000", "4000", "inf", "budget must be finite, got inf"),
+    "nan-budget": ("10,5", "1000", "4000", "nan", "budget must be finite, got nan"),
+    "nan-price": ("10,5", "nan", "4000", "1e5",
+                  "the CPU unit price must be positive and finite, got nan"),
+    "infinite-price": ("0,5", "1000", "inf", "1e5",
+                       "the device unit price must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("fault", PLAN_FAULTS)
+def test_plan_rejects_budgets_and_prices_it_cannot_size(tmp_path, capsys, fault):
+    measure, price_cpu, price_dev, budget, message = PLAN_FAULTS[fault]
+    code = main(["plan", "--measure", measure, "--price-cpu", price_cpu,
+                 "--price-dev", price_dev, "--budget", budget, "-o", str(tmp_path)])
+    assert (code, capsys.readouterr().err) == (2, f"error: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("fault", ["huge-budget", "nan-budget", "nan-price"])
+def test_run_all_rejects_budgets_and_prices_it_cannot_size(tmp_path, capsys, corpus_dir,
+                                                         fault):
+    *_, price_cpu, price_dev, budget, message = PLAN_FAULTS[fault]
+    argv = write_run_all(tmp_path, corpus_dir, "float a[4]; float s; int i;\n"
+                         "for (i = 0; i < 4; i++) { a[i] = i; }\n", [[1]])
+    config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    config.update(budget=float(budget), prices={"cpu_unit_price": float(price_cpu),
+                                                "dev_unit_price": float(price_dev)})
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
 
 
@@ -394,7 +436,7 @@ def test_run_all_runs_the_deepest_expressions(tmp_path, capsys, corpus_dir, nest
         with hot_iterations(threshold):
             assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert nests and all(compiled for _, compiled in nests)
+    assert nests
 
 
 # -- deep statements: exit 2 naming the position, never a RecursionError ----
@@ -423,15 +465,33 @@ def test_analyze_of_statements_nested_too_deep_exits_2(tmp_path, capsys, nest, c
                                        "nests deeper than 64 levels\n")
 
 
+def deepest_nest(body: str) -> str:
+    """Headers that re-drive i, then the eligible loop over j and its block
+    around ``body``: STMT_DEPTH levels. The last header over i is eligible
+    too; the tests keep its bit 0."""
+    return ("float a[4]; float s; int i; int j;\n" + "for (i = 0; i < 1; i++) " * (STMT_DEPTH - 2)
+            + f"for (j = 0; j < 1; j++) {{ {body} }}\n")
+
+
+@pytest.mark.parametrize("expr", DEEPEST_EXPRESSIONS,
+                         ids=["brackets", "indices", "calls", "operators"])
 def test_run_all_runs_the_deepest_statements_around_the_deepest_expression(
-        tmp_path, capsys, corpus_dir):
-    # headers that re-drive i, then the eligible loop over j and its block:
-    # STMT_DEPTH levels. The last header over i is eligible too; its bit
-    # stays 0. Brackets take the most parser frames a level
-    nest = ("for (i = 0; i < 1; i++) " * (STMT_DEPTH - 2)
-            + f"for (j = 0; j < 1; j++) {{ s = {DEEPEST_EXPRESSIONS[0]}; }}")
-    argv = write_run_all(tmp_path, corpus_dir,
-                         f"float a[4]; float s; int i; int j;\n{nest}\n",
-                         [[0, 0], [0, 1]])
+        tmp_path, capsys, corpus_dir, expr):
+    # brackets take the most parser frames a level, indices the most emitter ones
+    argv = write_run_all(tmp_path, corpus_dir, deepest_nest(f"s = {expr};"), [[0, 0], [0, 1]])
     assert in_both_tiers(lambda: main(argv)) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_run_all_compiles_each_deep_hot_nest_once(tmp_path, capsys, corpus_dir, nests, compiled):
+    # 63 loops, every one hot in the source tier, around four 254-level
+    # expressions: each build is one compile() call that succeeds
+    expr = "(1.0 + " * 254 + "s" + ")" * 254
+    source = deepest_nest(f"s = {expr};" * 4)
+    argv = write_run_all(tmp_path, corpus_dir, source, [[0, 0], [0, 1]])
+    assert in_both_tiers(lambda: main(argv)) == 0
+    assert capsys.readouterr().err == ""
+    assert set(nests) == {extract_loops(parse_program(source)).infos[0].loop_id}
+    assert len(compiled) == len(nests)
+    assert {sum(line.startswith("def ") for line in code.splitlines())
+            for code in compiled} == {STMT_DEPTH - 1}

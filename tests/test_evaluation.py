@@ -243,6 +243,18 @@ def test_external_output_without_a_measurement_is_invalid(script, note):
     assert not m.valid and m.note == note
 
 
+@pytest.mark.parametrize("line", ["nan nan nan 1", "-1 -1 0 1", "inf 1 inf 1", "1 1.5 -0.5 1"])
+def test_external_times_negative_or_not_finite_are_invalid(line):
+    m = evaluate_external(f"{PY} -c \"print('{line}')\"", "s", "p")
+    assert not m.valid and m.t_total is INFINITE_TIME
+    assert m.note == f"times must be finite and non-negative, got {line!r}"
+
+
+def test_external_zero_times_are_valid():
+    m = evaluate_external(f'{PY} -c "print(0.0, 0.0, 0.0, 1)"', "s", "p")
+    assert m.valid and (m.t_total, m.t_cpu_part, m.t_dev_part) == (0.0, 0.0, 0.0)
+
+
 def test_external_empty_command_is_a_spawn_error():
     with pytest.raises(SpawnError) as info:
         evaluate_external("  ", "s", "p")

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from offload_planner.evaluation import (
     Measurement,
     _host_cost,
     _region_cost,
+    evaluate_external,
     evaluate_sim,
 )
 from offload_planner.ga import (
@@ -243,6 +245,29 @@ def test_invalid_patterns_get_zero_fitness_and_never_win():
         result = run_ga(loops, evaluator, GaConfig(seed=seed))
         assert validate_pattern(result.best.pattern, loops) is None
         assert result.best.fitness > 0.0
+
+
+def test_external_times_negative_or_not_finite_never_win():
+    # the command reports NaN times for patterns offloading the first loop
+    # and negative ones for the rest, which a fitness of 1 / t_total would
+    # rank above every finite time: only the all-zero pattern is valid
+    loops = extract_loops(parse_program(read_corpus("g3.mc")))
+    probe = ("import sys; bits = sys.argv[1]; "
+             "print('nan nan nan 1' if bits[0] == '1' else '-1 -1 0 1' if '1' in bits "
+             "else '2.0 2.0 0.0 1')")
+    measured = {}
+
+    def evaluate(pattern):
+        m = evaluate_external(f'{sys.executable} -c "{probe}" {{pattern}}', "s",
+                              pattern.as_string())
+        measured[pattern.as_string()] = m
+        return m
+
+    result = run_ga(loops, evaluate, GaConfig(population_size=8, generations=4, seed=1))
+    assert result.best.pattern.bits == (0,) * loops.gene_length()
+    assert result.best.fitness == 0.5
+    notes = {m.note.split(", got")[0] for bits, m in measured.items() if "1" in bits}
+    assert notes == {"times must be finite and non-negative"}
 
 
 # -- the exact optimum of the region-additive sim cost ----------------------

@@ -9,6 +9,7 @@ import pytest
 from offload_planner.minic import EvalError, extract_loops, interpret, parse_program
 from offload_planner.minic import interp
 from offload_planner.minic.interp import HOT_ITERATIONS, ITERATION_CAP
+from offload_planner.minic.parser import STMT_DEPTH
 
 from conftest import corpus_programs, hot_iterations, in_both_tiers
 
@@ -135,7 +136,7 @@ def test_loops_reaching_the_threshold_run_as_generated_source(nests):
     expected = interpret(ast)  # no loop table: closures only
     assert nests == []
     assert interpret(ast, loops=loops) == expected
-    assert nests == [(loops.infos[1].loop_id, True)]
+    assert nests == [loops.infos[1].loop_id]
 
 
 @pytest.mark.parametrize("expr, s", [
@@ -145,38 +146,25 @@ def test_loops_reaching_the_threshold_run_as_generated_source(nests):
 def test_long_expressions_run_in_generated_source(expr, s, nests):
     src = f"float s; float a[4]; int i = 0; for (i = 0; i < 4; i++) {{ a[i] = i; s = {expr}; }}"
     assert run(src)["s"] == s
-    assert [compiled for _, compiled in nests] == [True]
+    assert len(nests) == 1
 
 
-@pytest.mark.parametrize("body, first_emitted", [
-    ("x = x + 1.0;", 1),        # 20 loops fit in one function
-    ("x = x + sqrt(1.0);", 3),  # its try block takes two of the 20 blocks
-])
-def test_a_nest_too_deep_for_one_function_stays_closures(body, first_emitted, nests):
-    depth = 21
-    src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(depth))
-    src += "".join(f"for (i{k} = 0; i{k} < {1 + k % 2}; i{k}++) {{\n" for k in range(depth))
-    src += body + "}" * depth + "\n"
-    out = run(src)
-    assert out["x"] == 2 ** 10  # ten of the loops run twice
-    loops = extract_loops(parse_program(src))
-    assert nests == [(info.loop_id, k == first_emitted)
-                     for k, info in enumerate(loops.infos[:first_emitted + 1])]
-
-
-def test_the_deepest_nest_the_parser_accepts_stays_closures(nests):
-    # 64 nested loops, parser.STMT_DEPTH levels: compile() refuses each
-    # nest for its blocks, in turn, down to the 20 loops that fit
-    depth = 64
-    src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(depth))
-    src += "".join(f"for (i{k} = 0; i{k} < 1; i{k}++)\n" for k in range(depth))
-    src += "x = x + 1.0;\n"
-    assert run(src)["x"] == 1.0
-    assert [compiled for _, compiled in nests] == [False] * 44 + [True]
+def test_the_deepest_nest_the_parser_accepts_compiles_at_once(nests, compiled):
+    # STMT_DEPTH nested loops, every one hot in the source tier, around an
+    # intrinsic's try block: one source of a function per loop, which
+    # compile() takes in one call, far past its 20 nested blocks
+    src = "float x;\n" + "".join(f"int i{k} = 0;\n" for k in range(STMT_DEPTH))
+    src += "".join(f"for (i{k} = 0; i{k} < {2 if k % 16 == 0 else 1}; i{k}++)\n"
+                   for k in range(STMT_DEPTH))
+    src += "x = x + sqrt(1.0);\n"
+    assert run(src)["x"] == 2 ** 4  # four of the loops run twice
+    assert nests == [extract_loops(parse_program(src)).infos[0].loop_id]
+    assert len(compiled) == 1
+    assert sum(line.startswith("def ") for line in compiled[0].splitlines()) == STMT_DEPTH
 
 
 def test_an_emitter_bug_raises_its_syntax_error(monkeypatch):
-    # only a nest too deep for one function falls back to closures
+    # compile() refuses no nest the parser accepts, so none is caught
     monkeypatch.setattr(interp._Nest, "mark", lambda self, name, dev: self.line("if"))
     ast = parse_program("float s; int i = 0; for (i = 0; i < 4; i++) { s = s + i; }")
     with hot_iterations(1), pytest.raises(SyntaxError) as info:

@@ -310,6 +310,41 @@ def test_fallback_has_no_enumeration_cap():
             == Allocation(1, 1999, 2000.0, False))
 
 
+def test_a_unit_price_lost_in_the_rounding_of_the_cost_is_still_counted():
+    # n * 1e-30 + 1.0 stays 1.0 until n * 1e-30 reaches half an ulp of 1:
+    # about 1.1e14 neighbouring counts cost the same float, which the budget
+    # pays, though (budget - 1.0) / 1e-30 is 0
+    alloc = plan_device_bound(PriceBook(1.0, 1e-30), 1.0)
+    n = alloc.dev_units
+    assert (alloc.cpu_units, alloc.monthly_cost) == (1, 1.0)
+    assert n * 1e-30 + 1.0 <= 1.0 < (n + 1) * 1e-30 + 1.0
+
+
+def test_allocations_are_largest_over_wide_price_ranges():
+    # prices over 40 decades: each answer is the largest count that fits,
+    # or is refused for reaching 2**53 units on a side
+    rng = random.Random(53)
+    refused = 0
+    for _ in range(2000):
+        p_c, p_g = 10 ** rng.uniform(-20, 20), 10 ** rng.uniform(-20, 20)
+        budget = (p_c + p_g) * 10 ** rng.uniform(0, 20)
+        ratio = compute_ratio(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3))
+        try:
+            alloc = plan_amount(ratio, PriceBook(p_c, p_g), budget)
+        except ValueError as exc:
+            assert "buys 2**53 units or more" in str(exc)
+            refused += 1
+            continue
+        assert alloc.monthly_cost <= budget
+        assert max(alloc.cpu_units, alloc.dev_units) < 2**53
+        k = alloc.cpu_units // ratio.cpu
+        grown = ((k + 1) * ratio.cpu * p_c + (k + 1) * ratio.dev * p_g if alloc.ratio_kept
+                 else (alloc.cpu_units + 1) * p_c + p_g if ratio.dev == 1
+                 else p_c + (alloc.dev_units + 1) * p_g)
+        assert grown > budget
+    assert 0 < refused < 2000
+
+
 def test_round_half_up():
     assert round_half_up(2.4) == 2
     assert round_half_up(2.5) == 3

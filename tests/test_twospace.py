@@ -313,7 +313,7 @@ def test_generated_programs_two_space_equals_interpretation(nests):
                                                      pattern.as_string(), hoist)
                     checked += 1
     assert checked == 128 + 12
-    assert nests and all(compiled for _, compiled in nests)
+    assert nests
 
 
 def test_generated_source_equals_closures_on_generated_programs():
@@ -350,4 +350,4 @@ def test_hooks_inside_a_generated_nest_fire_as_with_closures(nests):
     sim = in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
     assert list(sim.op_counts.values()) == [1, 6, 6]
     assert sim.outputs == interpret(ast)
-    assert nests == [(outer, True)]  # one function holds the nest and its hooks
+    assert nests == [outer]  # one source holds the nest and its hooks
