@@ -33,6 +33,7 @@ from .evaluation import (
     MissingAnnotation,
     SpawnError,
     ToleranceSpec,
+    check_timeout,
     evaluate_external,
     evaluate_sim,
 )
@@ -52,6 +53,7 @@ from .planner import (
     Infeasible,
     NonPositiveTime,
     PriceBook,
+    check_budget,
     compute_ratio,
     plan_amount,
     plan_device_bound,
@@ -120,14 +122,14 @@ def load_config(path) -> PipelineConfig:
         ga=ga,
         prices=PriceBook(float(prices_raw["cpu_unit_price"]),
                          float(prices_raw["dev_unit_price"])),
-        budget=float(raw["budget"]),
+        budget=check_budget(float(raw["budget"])),
         tests=resolve("tests"),
         registry=resolve("registry"),
         components=list(raw.get("components", [])),
         tolerance=ToleranceSpec.from_json(raw.get("tolerance", {})),
         output_dir=base / raw.get("output_dir", "out"),
         workers=int(raw.get("workers", 1)),
-        timeout=float(raw.get("timeout", DEFAULT_TIMEOUT)),
+        timeout=check_timeout(float(raw.get("timeout", DEFAULT_TIMEOUT))),
     )
 
 
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
             return stage_verify(allocation, plan["inputs"]["t_cpu"],
                                 plan["inputs"]["t_dev"], tests, registry,
                                 components, Path(args.output_dir),
-                                timeout=args.timeout)
+                                timeout=check_timeout(args.timeout))
         if args.cmd == "run-all":
             return run_pipeline(load_config(args.config))
         raise ConfigError(f"unknown command {args.cmd!r}")
@@ -397,7 +399,7 @@ def _cmd_search(args) -> int:
     ast, loops, costs = _load_program(source, costs_path)
     stage_search(ast, loops, costs, source.stem, Path(args.output_dir),
                  args.backend, args.cmd_template, ga, workers=args.workers,
-                 timeout=args.timeout)
+                 timeout=check_timeout(args.timeout))
     return EXIT_READY
 
 

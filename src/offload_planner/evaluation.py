@@ -36,6 +36,13 @@ class _InfiniteTime:
 INFINITE_TIME = _InfiniteTime()
 
 
+def check_timeout(timeout: float) -> float:
+    """``timeout``, in seconds, which must be positive and finite."""
+    if not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
+    return timeout
+
+
 class MissingAnnotation(Exception):
     pass
 

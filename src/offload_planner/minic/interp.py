@@ -17,7 +17,9 @@ marking that space needs. The compiler has two tiers:
     static iteration count, trip count times entry count, reaches
     HOT_ITERATIONS) and its whole subtree become one source, compiled
     once, with a function per loop. Hotness comes from the program's loop
-    table, so a run without one uses closures only.
+    table, so a run without one uses closures only. Each value it
+    computes goes to a temporary of its own, on a line of its own, in
+    evaluation order.
 Both tiers read and write the same memories, in the same order, with the
 same checks and messages: an element write computes its value before its
 index, a loop test reads its condition variable before the bound, a binary
@@ -55,9 +57,6 @@ ITERATION_CAP = 10**8
 # 0.47 (0.69) plus 150 us (230) to emit and compile it, so the two break
 # even at about 300 (330) iterations; 1024 leaves a margin of three.
 HOT_ITERATIONS = 1024
-# Operators inlined into one emitted expression, each in its parentheses;
-# CPython's tokenizer refuses 200 nested parentheses.
-_MAX_INLINE = 32
 
 _INTRINSIC_FN = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
@@ -331,31 +330,26 @@ class Machine:
         return call
 
 
-def _atomic(code: str) -> bool:
-    """Whether emitted code is a name or a literal, which reads nothing."""
-    return code.isidentifier() or code[0].isdigit()
-
-
 class _Nest:
     """The generated-source tier: one loop nest as Python source, emitted
     statement by statement in evaluation order, a function per loop, which
     an enclosing loop calls. So none nests deeper than a ``while`` and a
     ``try``, and compile() takes any nest the parser accepts.
 
-    Every check becomes a statement, so an expression's code is the lines
-    it emits, which compute and check its parts into temporaries, and a
-    result that only a device read can make raise. A binary operator whose
-    right operand emits lines stores its left operand first; one whose
-    code would inline more than _MAX_INLINE operators is stored too.
-    Nothing writes memory while one statement evaluates (a rule of
-    MiniC, stated in astnodes), so within it an index already checked against an array of the
+    Every value an expression computes goes to a fresh temporary, on a line
+    of its own, emitted when evaluation reaches it, and every check is a
+    statement after it; so an expression's code is a name or a literal, and
+    the lines run in the order they were emitted. Nothing writes memory
+    while one statement evaluates (a rule of MiniC, stated in astnodes), so
+    within it an index expression already checked against an array of the
     same size is not computed or checked again: the first check is the one
-    that would fail. A loop's bound, evaluated again after each iteration's
-    writes, starts afresh. In the code,
-    ``H`` and ``D`` are the machine's memories, ``F`` its device-fresh
-    names and ``P`` is POISON; every other object it needs is bound under
-    a name of its own. A function's default arguments are those of
-    ``base`` and those bound while it was emitted: it reads them as locals."""
+    that would fail. Index expressions are matched as ASTs, whose equality
+    ignores positions. A loop's bound, evaluated again after each
+    iteration's writes, starts afresh. In the code, ``H`` and ``D`` are the
+    machine's memories, ``F`` its device-fresh names and ``P`` is POISON;
+    every other object it needs is bound under a name of its own. A
+    function's default arguments are those of ``base`` and those bound
+    while it was emitted: it reads them as locals."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
@@ -365,7 +359,7 @@ class _Nest:
         self.base = tuple(self.names)  # every function's first parameters
         self.lines, self.params = [], []  # of the function being emitted
         self.temps = itertools.count()
-        self.checked: dict = {}  # (index code, size) -> its checked temporary
+        self.checked: dict = {}  # (index expression, size) -> its checked temporary
         self.defs: list = []  # the lines of each function, an inner loop's first
 
     def build(self, loop: ForLoop, dev: bool):
@@ -379,8 +373,8 @@ class _Nest:
 
     # -- lines and names ------------------------------------------------------
 
-    def line(self, text: str, at: int | None = None):
-        self.lines.insert(len(self.lines) if at is None else at, "    " + text)
+    def line(self, text: str):
+        self.lines.append("    " + text)
 
     def bind(self, value) -> str:
         name = f"_k{len(self.names)}"
@@ -388,13 +382,10 @@ class _Nest:
         self.params.append(name)
         return name
 
-    def temp(self, code: str, at: int | None = None) -> str:
-        """A temporary holding ``code``'s value, computed at line ``at``
-        (default: next); code that is already a name or a literal stays."""
-        if _atomic(code):
-            return code
+    def temp(self, code: str) -> str:
+        """A fresh temporary, which the next line sets to ``code``'s value."""
         name = f"_t{next(self.temps)}"
-        self.line(f"{name} = {code}", at)
+        self.line(f"{name} = {code}")
         return name
 
     # -- statements ------------------------------------------------------------
@@ -410,9 +401,7 @@ class _Nest:
                 self.stmt(inner, dev)
         elif isinstance(stmt, CallStmt):
             for arg in stmt.args if stmt.intrinsic else ():
-                code = self.expr(arg, dev)  # evaluated for its errors
-                if not _atomic(code):
-                    self.line(code)
+                self.expr(arg, dev)  # evaluated for its errors
         else:
             raise TypeError(f"not a statement in a loop: {stmt!r}")
 
@@ -430,9 +419,7 @@ class _Nest:
         if stmt.index is None:
             self.line(f"{memory}[{name!r}] = {value}")
         else:
-            start = len(self.lines)
             idx = self.index(stmt, dev)
-            value = self.temp(value, start)  # the value before the index
             if dev:  # the device holds an array from its first write on
                 self.line(f"if {name!r} not in D: D[{name!r}] = [P] * "
                           f"{self.machine.sizes[name]}")
@@ -456,11 +443,8 @@ class _Nest:
         self.mark(loop.var, dev)
         self.line("while True:")
         self.checked, start = {}, len(self.lines)
-        test = f"{memory}[{loop.cond_var!r}]"
-        bound = self.expr(loop.bound, dev)  # its checks, inside the loop
-        if len(self.lines) > start:  # the condition variable is read before the bound
-            test = self.temp(test, start)
-        self.line(f"if not {test} {loop.op} {bound}: break")
+        test = self.temp(f"{memory}[{loop.cond_var!r}]")  # read before the bound
+        self.line(f"if not {test} {loop.op} {self.expr(loop.bound, dev)}: break")
         message = _cap_message(loop, self.machine.iteration_cap)
         self.line(f"if tick() > {self.machine.iteration_cap}: raise E({message!r})")
         self.stmt(loop.body, dev)
@@ -474,13 +458,13 @@ class _Nest:
         self.lines, self.params = outer
         return name
 
-    # -- expressions ------------------------------------------------------------
+    # -- expressions: each returns a name or a literal ------------------------
 
     def index(self, node: Index | Assign, dev: bool) -> str:
         size = self.machine.sizes[node.name]
-        key = (self.expr(node.index, dev), size)
+        key = (node.index, size)
         if key not in self.checked:
-            x = self.temp(key[0])
+            x = self.expr(node.index, dev)
             self.line(f"if not -1.0 < {x} < {float(size)!r}: "
                       f"raise BE({self.bind(node)}, {size}, {x})")
             self.checked[key] = self.temp(f"int({x})")
@@ -488,12 +472,10 @@ class _Nest:
 
     def element(self, node: Index, dev: bool) -> str:
         idx = self.index(node, dev)  # bounds before presence
-        cell = f"{'D' if dev else 'H'}[{node.name!r}][{idx}]"
-        if not dev and node.name not in self.machine.written:  # no untransferred cells
-            return cell
-        value = self.temp(cell)
-        self.line(f"if {value} is P: "
-                  f"raise TE({_poison_message(node.name, dev)!r}.format({idx}))")
+        value = self.temp(f"{'D' if dev else 'H'}[{node.name!r}][{idx}]")
+        if dev or node.name in self.machine.written:  # may hold untransferred cells
+            self.line(f"if {value} is P: "
+                      f"raise TE({_poison_message(node.name, dev)!r}.format({idx}))")
         return value
 
     def expr(self, expr, dev: bool) -> str:
@@ -501,27 +483,20 @@ class _Nest:
             value = expr.value  # never negative: the grammar has no unary minus
             return repr(value) if math.isfinite(value) else self.bind(value)
         if isinstance(expr, Var):
-            return f"{'D' if dev else 'H'}[{expr.name!r}]"
+            return self.temp(f"{'D' if dev else 'H'}[{expr.name!r}]")
         if isinstance(expr, Index):
             return self.element(expr, dev)
         if isinstance(expr, BinOp):
-            left = self.expr(expr.left, dev)
-            start = len(self.lines)
-            right = self.expr(expr.right, dev)
-            if len(self.lines) > start:
-                left = self.temp(left, start)
-            if expr.op != "/" or (isinstance(expr.right, Num) and expr.right.value != 0.0):
-                code = f"({left} {expr.op} {right})"
-                return self.temp(code) if code.count("(") > _MAX_INLINE else code
-            left, right = self.temp(left, start), self.temp(right)
-            self.line(f"if {right} == 0.0: raise E({_division_message(expr)!r})")
-            return f"({left} / {right})"
+            left, right = self.expr(expr.left, dev), self.expr(expr.right, dev)
+            if expr.op == "/" and not (isinstance(expr.right, Num) and expr.right.value != 0.0):
+                self.line(f"if {right} == 0.0: raise E({_division_message(expr)!r})")
+            return self.temp(f"{left} {expr.op} {right}")
         if not isinstance(expr, Call):
             raise TypeError(f"not an expression: {expr!r}")
         if not expr.intrinsic:
             self.line(f"raise E({_opaque_message(expr)!r})")
             return "None"
-        arg = self.temp(self.expr(expr.args[0], dev))
+        arg = self.expr(expr.args[0], dev)
         value, call = f"_t{next(self.temps)}", self.bind(expr)
         self.line("try:")
         self.line(f"    {value} = {self.bind(_INTRINSIC_FN[expr.name])}({arg})")

@@ -94,11 +94,21 @@ def compute_ratio(t_cpu: float, t_dev: float) -> ResourceRatio | CpuOnly:
     return ResourceRatio(units, 1) if t_cpu >= t_dev else ResourceRatio(1, units)
 
 
+def check_budget(budget: float) -> float:
+    """``budget``, which must be positive and finite."""
+    if budget <= 0:
+        raise Infeasible(f"budget must be positive, got {budget}")
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
+    return budget
+
+
 def plan_device_bound(prices: PriceBook, budget: float) -> Allocation:
     """Allocation when the measured CPU part is zero and the device part
     positive: the device does all the measured work, so one CPU unit hosts
     the program and the rest of the budget buys device units. There is no
     CPU side to keep a ratio with."""
+    check_budget(budget)
     return _one_and_most(prices, budget, grow_cpu=False)
 
 
@@ -121,8 +131,6 @@ def _affordable(budget: float, prices: PriceBook, cost, per: int = 1) -> int:
     with the expression the Allocation reports, by bisection: ``cost``
     never falls as the count grows, though neighbouring counts can cost the
     same float. A count buys ``per`` units of its larger side."""
-    if not math.isfinite(budget):
-        raise ValueError(f"budget must be finite, got {budget}")
     low, high = 0, -(-UNIT_LIMIT // per)  # high: the first count refused
     if cost(high) <= budget:
         raise ValueError(f"budget {budget} buys 2**53 units or more at {prices.cpu_unit_price} "
@@ -140,8 +148,7 @@ def plan_amount(ratio: ResourceRatio | CpuOnly, prices: PriceBook,
     (u, 1) and (1, max_dev) for (1, u): no multiple fits, so the budget is
     below one multiple's cost, and every count the growing side affords is
     below u."""
-    if budget <= 0:
-        raise Infeasible(f"budget must be positive, got {budget}")
+    check_budget(budget)
     p_c, p_g = prices.cpu_unit_price, prices.dev_unit_price
     if isinstance(ratio, CpuOnly):
         cpu_units = _affordable(budget, prices, lambda n: n * p_c)

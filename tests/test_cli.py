@@ -2,6 +2,7 @@
 byte-identical determinism of artifact files."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -16,7 +17,7 @@ from offload_planner import cli, verify
 from offload_planner.cli import main
 from offload_planner.evaluation import Measurement
 from offload_planner.ga import GaConfig
-from offload_planner.planner import Allocation
+from offload_planner.planner import Allocation, Infeasible
 from offload_planner.verify import PerformanceRow, RegressionRow, VerificationReport
 from offload_planner.minic.parser import ParseError, parse_program
 from offload_planner.offload import HOST_TO_DEVICE, TransferPlan
@@ -407,25 +408,54 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"tests": None}, "config key 'tests' is required"),
-    ({"source": "nope.mc"}, "config key 'source': no such file {dir}/nope.mc"),
-    ({"backend": "gpu"}, "backend must be 'sim' or 'external', got 'gpu'"),
-    ({"backend": "external"}, "external backend needs a 'command' template"),
-    ({"command": "true"}, "exactly one backend: drop 'command' or use backend=external"),
+@pytest.mark.parametrize("change, error, message", [
+    ({"tests": None}, verify.ConfigError, "config key 'tests' is required"),
+    ({"source": "nope.mc"}, verify.ConfigError,
+     "config key 'source': no such file {dir}/nope.mc"),
+    ({"backend": "gpu"}, verify.ConfigError, "backend must be 'sim' or 'external', got 'gpu'"),
+    ({"backend": "external"}, verify.ConfigError,
+     "external backend needs a 'command' template"),
+    ({"command": "true"}, verify.ConfigError,
+     "exactly one backend: drop 'command' or use backend=external"),
+    # the budget is checked before the search, with the messages of plan
+    ({"budget": math.nan}, ValueError, "budget must be finite, got nan"),
+    ({"budget": -5}, Infeasible, "budget must be positive, got -5.0"),
+    ({"budget": math.inf}, ValueError, "budget must be finite, got inf"),
 ], ids=["missing-key", "missing-file", "unknown-backend", "external-without-command",
-        "sim-with-command"])
-def test_invalid_config_exits_2(workdir, capsys, change, message):
+        "sim-with-command", "nan-budget", "negative-budget", "infinite-budget"])
+def test_invalid_config_exits_2(workdir, capsys, change, error, message):
     config = json.loads((workdir / "g3_config.json").read_text())
     config.update(change)
     path = workdir / "bad_config.json"
     path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
     message = message.format(dir=workdir)
-    with pytest.raises(verify.ConfigError) as info:
+    with pytest.raises(error) as info:
         cli.load_config(path)
     assert str(info.value) == message
     assert run_cli("run-all", "--config", path) == 2
+    assert capsys.readouterr().err == f"error: {error.__name__}: {message}\n"
+    assert not (workdir / "out").exists()  # no stage ran
+
+
+def test_empty_ga_overrides_are_skipped():
+    assert (cli._parse_ga_overrides(",seed=1,", GaConfig())
+            == cli._parse_ga_overrides("seed=1", GaConfig()))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--measure", "10", "--price-cpu", "1000", "--price-dev", "4000",
+      "--budget", "10000"],
+     "--measure expects 'T_CPU,T_DEV': not enough values to unpack (expected 2, got 1)"),
+    (["search", "g3.mc", "--costs", "g3_costs.json", "--ga", "bogus=1"],
+     "unknown GA parameter 'bogus'"),
+    (["search", "g3.mc", "--backend", "external"], "external backend needs --cmd"),
+], ids=["one-time", "unknown-ga-parameter", "external-without-cmd"])
+def test_invalid_arguments_exit_2(workdir, capsys, argv, message):
+    out = workdir / "out"
+    argv = [str(workdir / a) if a.endswith((".mc", ".json")) else a for a in argv]
+    assert run_cli(*argv, "-o", out) == 2
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
 
 
 NESTED = """float a[8];

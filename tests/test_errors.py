@@ -293,6 +293,7 @@ PLAN_FAULTS = {
                     "a device unit"),
     "infinite-budget": ("10,5", "1000", "4000", "inf", "budget must be finite, got inf"),
     "nan-budget": ("10,5", "1000", "4000", "nan", "budget must be finite, got nan"),
+    "nan-budget-device-bound": ("0,5", "1000", "4000", "nan", "budget must be finite, got nan"),
     "nan-price": ("10,5", "nan", "4000", "1e5",
                   "the CPU unit price must be positive and finite, got nan"),
     "infinite-price": ("0,5", "1000", "inf", "1e5",
@@ -320,6 +321,44 @@ def test_run_all_rejects_budgets_and_prices_it_cannot_size(tmp_path, capsys, cor
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
+# a timeout that is not positive and finite: each exits 2 naming it, from
+# run-all's config and from the --timeout of search and verify
+BAD_TIMEOUTS = {"infinite": math.inf, "nan": math.nan, "zero": 0.0, "negative": -1.0}
+
+
+@pytest.mark.parametrize("timeout", BAD_TIMEOUTS.values(), ids=BAD_TIMEOUTS)
+def test_run_all_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                 corpus_dir, timeout):
+    argv = write_run_all(tmp_path, corpus_dir, "float a[4]; int i;\n"
+                         "for (i = 0; i < 4; i++) { a[i] = i; }\n", [[1]])
+    config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    config.update(timeout=timeout)  # json writes Infinity and NaN, and reads them
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: ValueError: timeout must be positive "
+                                       f"and finite, got {timeout}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_search_and_verify_reject_a_timeout_that_is_not_positive_and_finite(
+        tmp_path, capsys, corpus_dir, command, timeout):
+    out = tmp_path / "out"
+    if command == "search":
+        argv = ["search", str(corpus_dir / "g3.mc"), "--costs", str(corpus_dir / "g3_costs.json")]
+    else:
+        assert main(["plan", "--measure", "10,5", "--price-cpu", "1000", "--price-dev", "4000",
+                     "--budget", "10000", "-o", str(tmp_path)]) == 0
+        argv = ["verify", "--plan", str(tmp_path / "plan.json"),
+                "--tests", str(corpus_dir / "g3_tests.json"),
+                "--registry", str(corpus_dir / "g3_registry.json")]
+    assert main(argv + ["--timeout", timeout, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: ValueError: timeout must be positive "
+                                       f"and finite, got {float(timeout)}\n")
+    assert not out.exists()
 
 
 HUGE = "1" + "0" * 200

@@ -149,6 +149,17 @@ def test_long_expressions_run_in_generated_source(expr, s, nests):
     assert len(nests) == 1
 
 
+@pytest.mark.parametrize("c_size, checks", [(8, 1), (16, 2)], ids=["one-size", "two-sizes"])
+def test_a_statement_checks_an_index_once_per_array_size(compiled, c_size, checks):
+    # a[i], b[i] and the write to c[i] share one check of i per array size
+    src = (f"float a[8]; float b[8]; float c[{c_size}]; int i = 0;\n"
+           "for (i = 0; i < 8; i++) { a[i] = i; b[i] = 1.0; }\n"
+           "for (i = 0; i < 8; i++) { c[i] = ((a[i] * 0.75) + b[i]); }\n")
+    expected = tuple(k * 0.75 + 1.0 for k in range(8)) + (0.0,) * (c_size - 8)
+    assert run(src)["c"] == expected
+    assert [source.count("raise BE(") for source in compiled] == [2, checks]
+
+
 def test_the_deepest_nest_the_parser_accepts_compiles_at_once(nests, compiled):
     # STMT_DEPTH nested loops, every one hot in the source tier, around an
     # intrinsic's try block: one source of a function per loop, which

@@ -40,6 +40,12 @@ def test_missing_semicolon_is_syntax_error_with_position():
     assert "expected ';'" in str(err.value)
 
 
+def test_an_unexpected_character_is_a_syntax_error_with_position():
+    with pytest.raises(ParseError) as err:
+        parse_program("int x;\nx = 1 @ 2;")
+    assert str(err.value) == "2:7: unexpected character '@'"
+
+
 @pytest.mark.parametrize("source", [
     "int x; x = ;",
     "float a[0];",

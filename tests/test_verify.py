@@ -49,6 +49,16 @@ def test_regression_failure_flips_recommendation():
     assert report.recommendation == "attention"
 
 
+def test_a_regression_command_that_cannot_run_fails_with_a_note(tmp_path):
+    missing = tmp_path / "no-such-program"
+    registry = {"libmath": ["", str(missing)]}
+    report = run_verification(ALLOC_2_1, MEASURE_10_5, [sim_case()], registry, ["libmath"])
+    assert [(row.passed, row.exit_code, row.note) for row in report.regression] == [
+        (False, None, "empty command"),
+        (False, None, f"[Errno 2] No such file or directory: '{missing}'")]
+    assert report.recommendation == "attention"
+
+
 def test_uncovered_component_listed_but_not_fatal():
     registry = {"libmath": [f'{PY} -c "pass"']}
     report = run_verification(ALLOC_2_1, MEASURE_10_5, [sim_case()],
