@@ -202,8 +202,7 @@ def stage_search(ast, loops: LoopTable, costs: CostAnnotations | None,
                  timeout: float = DEFAULT_TIMEOUT) -> SearchResult:
     evaluator = make_evaluator(ast, loops, backend, costs, command, outdir, timeout)
     result = run_ga(loops, evaluator, ga, workers=workers)
-    m = result.best.measurement
-    if m is None or not m.valid:
+    if not result.best.measurement.valid:
         raise ConfigError("search produced no valid measurement; cannot size resources")
     best = result.best.pattern
     outdir.mkdir(parents=True, exist_ok=True)
@@ -380,9 +379,7 @@ def main(argv=None) -> int:
                                 plan["inputs"]["t_dev"], tests, registry,
                                 components, Path(args.output_dir),
                                 timeout=check_timeout(args.timeout))
-        if args.cmd == "run-all":
-            return run_pipeline(load_config(args.config))
-        raise ConfigError(f"unknown command {args.cmd!r}")
+        return run_pipeline(load_config(args.config))  # run-all
     except _CONFIG_FAULTS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,13 @@
 """Genetic-algorithm search over offload patterns.
 
 Fitness is 1 / total processing time; invalid patterns (nested offload or a
-failed measurement) get fitness 0 and die out under selection. Measurements
-are memoized by gene so no pattern is measured twice, and all random draws
-happen in a fixed phase order outside evaluation, so concurrent fitness
-evaluation cannot perturb the seeded result.
+failed measurement) get fitness 0 and die out under selection. The search's
+only per-pattern state is its memo, gene -> Measurement: every pattern
+enters it through one function that checks it (a nested pattern is stored
+invalid unmeasured) and measures the rest once each, and every Individual
+is an immutable record of a measured pattern read from the memo. All
+random draws happen in a fixed phase order outside measurement, so
+concurrent measurement cannot perturb the seeded result.
 """
 
 from __future__ import annotations
@@ -12,15 +15,11 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .evaluation import Measurement
 from .minic.loops import LoopTable
 from .offload import OffloadPattern, validate_pattern
-
-
-class UnevaluatedIndividual(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,12 @@ class GaConfig:
                            for f in fields(GaConfig) if f.name in data})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Individual:
+    """A measured pattern."""
     pattern: OffloadPattern
-    fitness: float | None = None      # None means unevaluated
-    measurement: Measurement | None = None
+    fitness: float
+    measurement: Measurement
 
     @property
     def gene(self) -> tuple:
@@ -66,24 +66,23 @@ class Individual:
 @dataclass
 class SearchResult:
     best: Individual
-    history: list = field(default_factory=list)  # (generation, best, mean)
-    evaluations: int = 0
-    config: GaConfig | None = None
+    history: list  # (generation, best fitness, mean fitness)
+    evaluations: int
+    config: GaConfig
 
     def to_json(self) -> dict:
         return {
             "best": {
                 "bits": list(self.best.gene),
                 "fitness": self.best.fitness,
-                "measurement": (self.best.measurement.to_json()
-                                if self.best.measurement else None),
+                "measurement": self.best.measurement.to_json(),
             },
             "history": [
                 {"generation": g, "best_fitness": b, "mean_fitness": m}
                 for g, b, m in self.history
             ],
             "evaluations": self.evaluations,
-            "config": self.config.to_json() if self.config else None,
+            "config": self.config.to_json(),
         }
 
 
@@ -99,24 +98,18 @@ def random_pattern(length: int, rng: random.Random) -> OffloadPattern:
 
 
 def next_generation(pop: list[Individual], cfg: GaConfig,
-                    rng: random.Random) -> list[Individual]:
+                    rng: random.Random) -> list[OffloadPattern]:
     """Elitism, roulette selection, single-point crossover, per-bit mutation."""
-    for ind in pop:
-        if ind.fitness is None:
-            raise UnevaluatedIndividual(f"pattern {ind.pattern.as_string()} unevaluated")
     length = len(pop[0].gene)
     ranked = sorted(range(len(pop)), key=lambda i: (-pop[i].fitness, i))
-    out = [Individual(pop[i].pattern) for i in ranked[: cfg.elite_count]]
+    out = [pop[i].pattern for i in ranked[: cfg.elite_count]]
 
     weights = [ind.fitness for ind in pop]
     total = sum(weights)
     uniform = total <= 0.0 or not math.isfinite(total)
 
     while len(out) < cfg.population_size:
-        if uniform:
-            p1, p2 = rng.choices(pop, k=2)
-        else:
-            p1, p2 = rng.choices(pop, weights=weights, k=2)
+        p1, p2 = rng.choices(pop, weights=None if uniform else weights, k=2)
         g1, g2 = list(p1.gene), list(p2.gene)
         if length >= 2 and rng.random() < cfg.crossover_rate:
             point = rng.randrange(1, length)
@@ -128,7 +121,7 @@ def next_generation(pop: list[Individual], cfg: GaConfig,
                 bit ^ 1 if rng.random() < cfg.mutation_rate_per_bit else bit
                 for bit in gene
             )
-            out.append(Individual(OffloadPattern(bits)))
+            out.append(OffloadPattern(bits))
     return out
 
 
@@ -154,41 +147,32 @@ def _search(loops: LoopTable, evaluator, cfg: GaConfig, measure) -> SearchResult
     length = loops.gene_length()
     memo: dict[tuple, Measurement] = {}
 
-    def evaluate_all(pop: list[Individual]):
-        fresh = []
-        seen = set()
-        for ind in pop:
-            if ind.gene not in memo and ind.gene not in seen:
-                seen.add(ind.gene)
-                reason = validate_pattern(ind.pattern, loops)
+    def measured(patterns: list[OffloadPattern]) -> list[Individual]:
+        """Each pattern as a measured individual. A pattern not yet in the
+        memo is checked once: a nested one is stored invalid without being
+        measured, the rest are measured in population order."""
+        fresh = {}
+        for pattern in patterns:
+            if pattern.bits not in memo and pattern.bits not in fresh:
+                reason = validate_pattern(pattern, loops)
                 if reason is None:
-                    fresh.append(ind)
+                    fresh[pattern.bits] = pattern
                 else:
-                    memo[ind.gene] = Measurement.invalid(f"invalid pattern: {reason}")
-        results = measure(evaluator, [ind.pattern for ind in fresh])
-        for ind, m in zip(fresh, results):
-            memo[ind.gene] = m
-        for ind in pop:
-            ind.measurement = memo[ind.gene]
-            ind.fitness = fitness_of(ind.measurement)
+                    memo[pattern.bits] = Measurement.invalid(f"invalid pattern: {reason}")
+        memo.update(zip(fresh, measure(evaluator, list(fresh.values()))))
+        return [Individual(p, fitness_of(memo[p.bits]), memo[p.bits]) for p in patterns]
 
     if length == 0:
-        empty = Individual(OffloadPattern(()))
-        evaluate_all([empty])
-        return SearchResult(best=empty, history=[(0, empty.fitness, empty.fitness)],
-                            evaluations=len(memo), config=cfg)
+        [empty] = measured([OffloadPattern(())])
+        return SearchResult(empty, [(0, empty.fitness, empty.fitness)], len(memo), cfg)
 
-    pop = [Individual(random_pattern(length, rng)) for _ in range(cfg.population_size)]
-    best: Individual | None = None
+    pop = measured([random_pattern(length, rng) for _ in range(cfg.population_size)])
+    best = pop[0]
     history = []
     for generation in range(cfg.generations):
-        evaluate_all(pop)
-        for ind in pop:
-            if best is None or ind.fitness > best.fitness:
-                best = Individual(ind.pattern, ind.fitness, ind.measurement)
-        gen_best = max(ind.fitness for ind in pop)
-        gen_mean = sum(ind.fitness for ind in pop) / len(pop)
-        history.append((generation, gen_best, gen_mean))
+        best = max([best] + pop, key=lambda ind: ind.fitness)
+        history.append((generation, max(ind.fitness for ind in pop),
+                        sum(ind.fitness for ind in pop) / len(pop)))
         if generation + 1 < cfg.generations:
-            pop = next_generation(pop, cfg, rng)
-    return SearchResult(best=best, history=history, evaluations=len(memo), config=cfg)
+            pop = measured(next_generation(pop, cfg, rng))
+    return SearchResult(best, history, len(memo), cfg)

@@ -19,7 +19,12 @@ unknown may run zero times, so its writes do not hide later reads.
 after is the (reads, writes) of CPU code in the loop's scope that can run
 after the loop: for a nested loop the rest of its parent, header included
 (the next parent iteration); for a top-level loop the statements that
-follow it. Header index updates count as writes.
+follow it. The reads are only those that can come before that code surely
+writes the name: the exposed reads of the statements that follow, and for
+a nested loop also every read of its parent's header and the exposed reads
+of the parent's body up to the loop. A read that comes after a sure write
+is of a name in the writes, so reads | writes is every name that code
+touches. Header index updates count as writes.
 
 must holds the names an execution of the loop that runs its body surely
 writes in full. A store to one array element counts for the array only at
@@ -181,14 +186,14 @@ def extract_loops(ast: Program) -> LoopTable:
         stmts = list(_flatten(items))
         sums = [loop(s, parent_id, depth) if isinstance(s, ForLoop) else plain(s)
                 for s in stmts]
-        later = [(set(), set())]  # (reads, writes) after each statement
-        for reads, _, writes, _, _ in reversed(sums[1:]):
-            later.append((later[-1][0] | reads, later[-1][1] | writes))
+        later = [(set(), set())]  # (exposed reads, writes) after each statement
+        for _, _, writes, exposed, must in reversed(sums[1:]):
+            later.append((exposed | (later[-1][0] - must), later[-1][1] | writes))
         reads, assigned, writes, exposed, must = set(), set(), set(), set(), set()
         for stmt, summary, (after_reads, after_writes) in zip(stmts, sums, reversed(later)):
             if isinstance(stmt, ForLoop):
                 if header is not None:  # the header and what precedes rerun
-                    after_reads = after_reads | header[0] | reads
+                    after_reads = after_reads | header[0] | exposed
                     after_writes = after_writes | header[1] | writes
                 infos.append(LoopInfo(**pending.pop(stmt.node_id), after=(
                     frozenset(after_reads), frozenset(after_writes))))

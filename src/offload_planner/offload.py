@@ -19,7 +19,10 @@ of the program:
     or written by it but not surely in full (LoopInfo.must) by the time the
     device's copy reaches the host, at the copyout or the teardown flush;
   * device-to-host (copyout) for every variable the region writes that CPU
-    code can later read or rewrite, or whose copyin refires in a CPU loop;
+    code can later read or rewrite, or whose copyin refires in a CPU loop,
+    and for every index variable of the region's loops that CPU code can
+    later read before writing it (a loop header writes its index, but
+    LoopInfo.defs leaves header writes out);
   * each op anchors at the region root, then hoists outward past enclosing
     CPU loops while the enclosing loop has no blocking access, batching the
     transfer to run once instead of once per enclosing iteration.
@@ -34,9 +37,9 @@ the hot loops to emit as source): CPU code for host memory, each region's
 subtree for device memory, and the plan's transfers into the entry and
 exit of their anchor loops. A device write marks a variable
 device-fresh; a host write or a transfer clears the mark. The teardown
-flush copies out exactly the device-fresh variables: region-written loop
-indices and results that no CPU code touches later get no copyout, yet
-are program outputs.
+flush copies out exactly the device-fresh variables: loop indices that no
+CPU code reads later, and results that no CPU code touches later, get no
+copyout, yet are program outputs.
 """
 
 from __future__ import annotations
@@ -69,9 +72,6 @@ class OffloadPattern:
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("pattern bits must be 0 or 1")
-
-    def __len__(self):
-        return len(self.bits)
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -183,8 +183,12 @@ def _region_ops(loops: LoopTable, root: int, hoist: bool, sizes: dict) -> tuple:
         return at
 
     info = loops.by_id[root]
+    # the region's loop indices, which CPU code after it may read first
+    indices = {name for lid in loops.subtree_ids(root)
+               for name in (loops.nodes[lid].var, loops.nodes[lid].step_var)}
+    outs = info.defs | (indices & set().union(*(reads for reads, _ in afters)))
     copyins = set(info.exposed)
-    for var in info.defs - info.exposed:
+    for var in outs - info.exposed:
         # the device's copy reaches the host whole, at its copyout or the
         # teardown flush after the outermost loop; what the region may
         # leave unwritten by then must hold the host's values. must
@@ -199,7 +203,7 @@ def _region_ops(loops: LoopTable, root: int, hoist: bool, sizes: dict) -> tuple:
         if at != chain[-1]:
             later.add(var)  # refires per enclosing iteration, so copy back
         ops.append(TransferOp(var, HOST_TO_DEVICE, at, sizes[var], root))
-    for var in sorted(info.defs & later):
+    for var in sorted(outs & later):
         ops.append(TransferOp(var, DEVICE_TO_HOST, anchor(var, reads_block=True),
                               sizes[var], root))
     return tuple(ops)

@@ -309,6 +309,22 @@ def test_search_external_backend(workdir):
     assert search["best"]["measurement"]["t_total"] == 0.5
 
 
+def test_run_all_external_backend_without_costs(workdir):
+    # the external-search workload's config shape: a command and no costs
+    config = json.loads((workdir / "g3_config.json").read_text())
+    del config["costs"]
+    config.update(backend="external",
+                  command=f'{sys.executable} -c "print(0.5, 0.25, 0.25, 1)" {{src}} {{pattern}}')
+    path = workdir / "external_config.json"
+    path.write_text(json.dumps(config))
+    assert cli.load_config(path).costs is None
+    assert run_cli("run-all", "--config", path) == 0
+    search = json.loads((workdir / "out" / "search.json").read_text())
+    assert search["best"]["measurement"]["t_total"] == 0.5
+    plan = json.loads((workdir / "out" / "plan.json").read_text())
+    assert plan["inputs"]["t_cpu"] == plan["inputs"]["t_dev"] == 0.25
+
+
 def test_search_external_backend_under_a_spaced_output_dir(workdir):
     # the command sees each file as one argument, in a directory whose
     # path holds a space

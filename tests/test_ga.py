@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,6 @@ from offload_planner.evaluation import (
 from offload_planner.ga import (
     GaConfig,
     Individual,
-    UnevaluatedIndividual,
     fitness_of,
     next_generation,
     run_ga,
@@ -192,48 +192,48 @@ def test_gene_length_conserved_across_generations():
     assert seen and set(seen) == {length}
 
 
+def individual(bits, fitness):
+    """A measured pattern for the operators, which read only its gene and
+    fitness."""
+    return Individual(OffloadPattern(bits), fitness,
+                      Measurement(1 / fitness, 1 / fitness, 0.0, True))
+
+
 def test_operators_disabled_resamples_multiset():
-    pop = [Individual(OffloadPattern((1, 0)), 2.0, None),
-           Individual(OffloadPattern((0, 1)), 1.0, None),
-           Individual(OffloadPattern((1, 1)), 1.0, None),
-           Individual(OffloadPattern((0, 0)), 4.0, None)]
+    pop = [individual((1, 0), 2.0),
+           individual((0, 1), 1.0),
+           individual((1, 1), 1.0),
+           individual((0, 0), 4.0)]
     cfg = GaConfig(population_size=4, generations=1, crossover_rate=0.0,
                    mutation_rate_per_bit=0.0, elite_count=0, seed=9)
     out = next_generation(pop, cfg, random.Random(9))
     parents = {ind.gene for ind in pop}
     assert len(out) == 4
-    assert all(child.gene in parents for child in out)
+    assert all(child.bits in parents for child in out)
 
 
 def test_elite_preserved_unchanged():
-    pop = [Individual(OffloadPattern((1, 0, 1)), 5.0, None),
-           Individual(OffloadPattern((0, 1, 0)), 1.0, None),
-           Individual(OffloadPattern((1, 1, 1)), 0.5, None)]
+    pop = [individual((1, 0, 1), 5.0),
+           individual((0, 1, 0), 1.0),
+           individual((1, 1, 1), 0.5)]
     cfg = GaConfig(population_size=3, generations=1, elite_count=1,
                    mutation_rate_per_bit=1.0, seed=3)
     out = next_generation(pop, cfg, random.Random(3))
-    assert out[0].gene == (1, 0, 1)
+    assert out[0].bits == (1, 0, 1)
 
 
 def test_full_mutation_complements_children():
     # crossover off, mutation 1: every non-elite child is the bitwise
     # complement of its selected parent gene (bit-flip oracle)
-    pop = [Individual(OffloadPattern((1, 0, 1, 1)), 1.0, None),
-           Individual(OffloadPattern((0, 1, 0, 0)), 1.0, None)]
+    pop = [individual((1, 0, 1, 1), 1.0),
+           individual((0, 1, 0, 0), 1.0)]
     cfg = GaConfig(population_size=2, generations=1, crossover_rate=0.0,
                    mutation_rate_per_bit=1.0, elite_count=0, seed=21)
     out = next_generation(pop, cfg, random.Random(21))
     parents = {ind.gene for ind in pop}
     for child in out:
-        flipped = tuple(b ^ 1 for b in child.gene)
+        flipped = tuple(b ^ 1 for b in child.bits)
         assert flipped in parents
-
-
-def test_unevaluated_individual_rejected():
-    pop = [Individual(OffloadPattern((1,)))]
-    with pytest.raises(UnevaluatedIndividual):
-        next_generation(pop, GaConfig(population_size=1, elite_count=0, seed=0),
-                        random.Random(0))
 
 
 def test_invalid_patterns_get_zero_fitness_and_never_win():
@@ -245,6 +245,22 @@ def test_invalid_patterns_get_zero_fitness_and_never_win():
         result = run_ga(loops, evaluator, GaConfig(seed=seed))
         assert validate_pattern(result.best.pattern, loops) is None
         assert result.best.fitness > 0.0
+
+
+GA_PINS = json.loads((Path(__file__).parent / "data" / "ga_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GA_PINS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_result_is_pinned(key, workers):
+    # the whole SearchResult of the default GA, recorded before the GA's
+    # state was reduced to its memo: nested_hoist.mc takes the invalid
+    # pattern path, g3.mc is flat
+    name, seed = key.split(":")
+    ast, loops, costs = load_instance(name, name.replace(".mc", "_costs.json"))
+    result = run_ga(loops, sim_evaluator(ast, loops, costs), GaConfig(seed=int(seed)),
+                    workers=workers)
+    assert result.to_json() == GA_PINS[key]
 
 
 def test_external_times_negative_or_not_finite_never_win():

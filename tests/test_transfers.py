@@ -16,7 +16,8 @@ import pytest
 
 from offload_planner.evaluation import Measurement
 from offload_planner.minic import extract_loops, interpret, parse_program
-from offload_planner.minic.astnodes import Block, ForLoop, VarDecl, accesses, children
+from offload_planner.minic.astnodes import (
+    Block, ForLoop, VarDecl, accesses, children, loops_in)
 from offload_planner.minic.interp import Machine
 from offload_planner.planner import Allocation
 from offload_planner.verify import TestCase, run_verification
@@ -330,9 +331,14 @@ def container_chains(ast):
 
 
 def reference_upward_exposed(region, loops):
-    """Variables read inside the region before the region writes them, by
-    one ordered walk; a nested loop of unknown trip count may run zero
-    times, so its writes count only when its trip is statically known."""
+    """Variables read inside the region before the region writes them."""
+    return reference_exposed([region], loops)
+
+
+def reference_exposed(stmts, loops):
+    """Variables the statements read before they write them, by one ordered
+    walk; a nested loop of unknown trip count may run zero times, so its
+    writes count only when its trip is statically known."""
     exposed = set()
 
     def walk_stmt(stmt, written):
@@ -354,8 +360,35 @@ def reference_upward_exposed(region, loops):
             exposed.update(reads - written)
             written |= assigned
 
-    walk_stmt(region, set())
+    written = set()
+    for stmt in stmts:
+        walk_stmt(stmt, written)
     return exposed
+
+
+def flattened(stmts):
+    for stmt in stmts:
+        if isinstance(stmt, Block):
+            yield from flattened(stmt.body)
+        else:
+            yield stmt
+
+
+def reference_reads_after(ast, loops, chains, root):
+    """What CPU code that can run after the region may read before writing
+    it, scope by scope: the statements after the region's path in the
+    scope, and in an enclosing loop also its header and the statements
+    before that path, which rerun on the next iteration."""
+    scopes = [c for c in chains[root] if not isinstance(c, Block)]
+    reads = set()
+    for scope, child in zip(scopes, scopes[1:] + [loops.nodes[root]]):
+        stmts = list(flattened(scope.items if scope is ast else [scope.body]))
+        at = next(k for k, stmt in enumerate(stmts) if stmt is child)
+        reads |= reference_exposed(stmts[at + 1:], loops)
+        if scope is not ast:
+            reads |= reference_exposed(stmts[:at], loops) | accesses(scope.init)[0]
+            reads |= accesses(scope.bound)[0] | {scope.cond_var, scope.step_var}
+    return reads
 
 
 def reference_region_ops(ast, loops, chains, root, hoist):
@@ -395,17 +428,20 @@ def reference_region_ops(ast, loops, chains, root, hoist):
         its copyout's anchor, or the outermost for the teardown flush."""
         return anchor(var, reads_block=True) if var in later else outermost
 
+    # the region's loop indices go back when CPU code may read them first
+    indices = {name for loop in loops_in(loops.nodes[root])
+               for name in (loop.var, loop.step_var)}
+    outs = loops.by_id[root].defs | (indices & reference_reads_after(ast, loops, chains, root))
     # when the sink may run zero times, the host's value must go in first
     copyins = reference_upward_exposed(loops.nodes[root], loops)
-    copyins |= {var for var in loops.by_id[root].defs
-                if loops.by_id[sink(var)].trip_count is None}
+    copyins |= {var for var in outs if loops.by_id[sink(var)].trip_count is None}
     ops = []
     for var in sorted(copyins):
         at = anchor(var, reads_block=False)
         if at != outermost:
             later.add(var)
         ops.append(TransferOp(var, HOST_TO_DEVICE, at, decls[var].byte_size, root))
-    for var in sorted(loops.by_id[root].defs & later):
+    for var in sorted(outs & later):
         ops.append(TransferOp(var, DEVICE_TO_HOST, anchor(var, reads_block=True),
                               decls[var].byte_size, root))
     return tuple(ops)
@@ -507,6 +543,30 @@ def test_values_a_region_may_leave_partly_unwritten_are_copied_in(src, bits):
     pattern = OffloadPattern(bits)
     for hoist in (True, False):
         plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+        assert simulate_with_plan(ast, loops, pattern, plan).outputs == interpret(ast)
+
+
+@pytest.mark.parametrize("src, bits", [
+    # CPU code reads the region's loop index after it
+    ("float s; int i = 0; int j = 0; for (i = 0; i < 4; i++) s = 1.0; j = i;", (1,)),
+    # the outer header reads the index the inner loop leaves behind
+    ("float s; int i = 0; for (i = 0; i < 1; i++) for (i = 0; i < 1; i++) s = 1.0;", (1,)),
+    # the outer header tests the index the offloaded inner loop steps, so
+    # a stale host copy would never end the outer loop
+    (REFERENCE_EDGE_CASES["non-canonical"], (1, 0)),
+    # the index's copyout is hoisted past a loop that runs zero times, so
+    # the host's value goes in first
+    ("int m; float s; int i = 0; int j = 0; int k = 0; m = 0; "
+     "for (j = 0; j < m; j++) { for (i = 0; i < 4; i++) s = 1.0; } k = i;", (1,)),
+])
+def test_loop_indices_read_after_a_region_are_copied_out(src, bits):
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern(bits)
+    for hoist in (True, False):
+        plan = plan_transfers(ast, loops, pattern, hoist=hoist)
+        assert any(op.direction == DEVICE_TO_HOST and op.var in ("i", "j")
+                   for op in plan.ops)
         assert simulate_with_plan(ast, loops, pattern, plan).outputs == interpret(ast)
 
 

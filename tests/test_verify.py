@@ -198,6 +198,12 @@ def test_loaders_resolve_paths(tmp_path):
     assert registry == {"comp": ["true", "false"]}
 
 
+def test_text_rendering_of_a_report_without_cases():
+    text = run_verification(ALLOC_2_1, MEASURE_10_5, [], {}, []).to_text()
+    assert "performance cases:\n  (none)\n" in text
+    assert "regression cases:\n  (none)\n" in text
+
+
 def test_text_rendering_mentions_key_facts():
     report = run_verification(ALLOC_2_1, MEASURE_10_5, [sim_case()],
                               {"libmath": []}, ["libmath", "ghost"])

@@ -8,7 +8,9 @@ only read), and a copy of OLD_ROOT's corpus/. Each side then runs
 ``run-all`` on every config, with its own src/ on PYTHONPATH, from its own
 input directory, so that paths in messages read the same. The output
 trees, standard output, standard error and exit codes are compared;
-config.json files are skipped, because they hold absolute paths.
+config.json files are skipped, because they hold absolute paths. Where a
+search.json differs, each side's best t_total and their ratio are
+printed, which shows how far an answer moved.
 
 A planner sweep then sizes the same seeded instances on both sides, one
 subprocess per side with its own src/: compute_ratio and plan_amount, or
@@ -145,6 +147,16 @@ def tree(side: Path) -> dict:
             for p in sorted(side.rglob("*")) if p.name != SKIPPED}
 
 
+def search_moved(old: bytes, new: bytes) -> str:
+    """How far the best answer moved between two search.json files: each
+    side's best t_total, and new over old when both are positive numbers."""
+    a, b = (json.loads(data)["best"]["measurement"]["t_total"] for data in (old, new))
+    text = f"best t_total {a!r} against {b!r}"
+    if all(isinstance(t, float) and t > 0 for t in (a, b)):
+        text += f", ratio {b / a:.6g}"
+    return text
+
+
 def compare(old_root: Path, new_root: Path, work: Path) -> tuple[list, dict, int]:
     """(what differs, one line each; the old side's count of configs per
     exit code; paths compared)."""
@@ -164,7 +176,9 @@ def compare(old_root: Path, new_root: Path, work: Path) -> tuple[list, dict, int
         if path not in old_tree or path not in new_tree:
             differences.append(f"{path}: only in {'old' if path in old_tree else 'new'}")
         elif old_tree[path] != new_tree[path]:
-            differences.append(f"{path}: contents differ")
+            moved = (f"; {search_moved(old_tree[path], new_tree[path])}"
+                     if path.endswith("search.json") else "")
+            differences.append(f"{path}: contents differ{moved}")
     codes = Counter(code for code, _, _ in sides["old"].values())
     return differences, dict(sorted(codes.items())), len(old_tree)
 
