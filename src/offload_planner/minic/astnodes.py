@@ -165,8 +165,10 @@ def walk(node: Node):
 def accesses(node: Node, skip: Node | None = None) -> tuple[set, set, set]:
     """(reads, assigned, control) over node and its descendants: the names
     read, the names assignments store to, and the index names loop headers
-    write. A header reads its condition and step variables. Declarations
-    are left out, and so is the subtree ``skip`` (matched by identity).
+    write. A header reads its condition and step variables. A declaration
+    reads its initializer but assigns nothing: a name never assigned keeps
+    its declared value (loops._single_assignment_constants). The subtree
+    ``skip`` (matched by identity) is left out.
     """
     reads: set = set()
     assigned: set = set()
@@ -174,7 +176,7 @@ def accesses(node: Node, skip: Node | None = None) -> tuple[set, set, set]:
     stack = [node]
     while stack:
         n = stack.pop()
-        if n is skip or isinstance(n, VarDecl):
+        if n is skip:
             continue
         if isinstance(n, (Var, Index)):
             reads.add(n.name)

@@ -19,13 +19,19 @@ marking that space needs. The compiler has two tiers:
     once, with a function per loop. Hotness comes from the program's loop
     table, so a run without one uses closures only. Each value it
     computes goes to a temporary of its own, on a line of its own, in
-    evaluation order.
-Both tiers read and write the same memories, in the same order, with the
-same checks and messages: an element write computes its value before its
-index, a loop test reads its condition variable before the bound, a binary
-operator evaluates its left operand first, and an element read checks
-bounds before device presence. An index x is in bounds of n cells when
--1 < x < n: for a finite x, 0 <= int(x) < n; never for inf or NaN.
+    evaluation order. A leaf, a loop of the source with no loop in its
+    body, keeps the variables it names in Python locals from its entry to
+    its exit.
+Both tiers give the same outputs, transfer counts and first error, with
+the same checks and messages in the same order: an element write computes
+its value before its index, a loop test reads its condition variable
+before the bound, a binary operator evaluates its left operand first, and
+an element read checks bounds before device presence. They differ only in
+when a leaf stores its scalars and marks its names: once, on its exit, and
+not at all if it raises. No hook runs and nothing else reads memory inside
+a leaf, and a run that raises drops its machine, so no caller can tell.
+An index x is in bounds of n cells when -1 < x < n: for a finite x,
+0 <= int(x) < n; never for inf or NaN.
 """
 
 from __future__ import annotations
@@ -47,15 +53,18 @@ from .astnodes import (
     Var,
     VarDecl,
     accesses,
+    loops_in,
 )
 
 ITERATION_CAP = 10**8
 # A loop whose static iteration count reaches this runs as generated
-# source. Measured with CPython 3.11 on a shared 2-core x86-64 host, on the
-# benchmark's flat loop `a6[i] = ((a9[i] * 0.75) + a0[i])`: closures cost
-# 0.91 us per iteration on the host (1.34 on the device), generated source
-# 0.47 (0.69) plus 150 us (230) to emit and compile it, so the two break
-# even at about 300 (330) iterations; 1024 leaves a margin of three.
+# source. Measured with CPython 3.11 on a shared 2-core x86-64 host, best of
+# 25, on the benchmark's flat loop `a6[i] = ((a9[i] * 0.75) + a0[i])`:
+# closures cost 1.05 us per iteration on the host (1.34 on the device),
+# generated source 0.24 (0.37) plus 310 us (410) to emit and compile it, so
+# the two break even at about 380 (430) iterations. 1024 leaves a margin of
+# more than two, and keeps out of compile() the inner loops of the
+# benchmark's sim-search programs, which run up to 384 iterations.
 HOT_ITERATIONS = 1024
 
 _INTRINSIC_FN = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
@@ -349,7 +358,12 @@ class _Nest:
     machine's memories, ``F`` its device-fresh names and ``P`` is POISON;
     every other object it needs is bound under a name of its own. A
     function's default arguments are those of ``base`` and those bound
-    while it was emitted: it reads them as locals."""
+    while it was emitted: it reads them as locals.
+
+    A leaf's function keeps each variable ``x`` it names in the local
+    ``_v_x`` (an array's local is the list memory holds), so its ``while``
+    body marks nothing and reads memory only where a device local is still
+    unfilled, to raise the device's error (see ``loop`` and ``ref``)."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
@@ -360,6 +374,8 @@ class _Nest:
         self.lines, self.params = [], []  # of the function being emitted
         self.temps = itertools.count()
         self.checked: dict = {}  # (index expression, size) -> its checked temporary
+        self.locals: set = set()  # the names the leaf being emitted keeps in locals
+        self.filled: set = set()  # those surely filled: all on the host, accessed on the device
         self.defs: list = []  # the lines of each function, an inner loop's first
 
     def build(self, loop: ForLoop, dev: bool):
@@ -388,6 +404,37 @@ class _Nest:
         self.line(f"{name} = {code}")
         return name
 
+    def indent(self, start: int):
+        """Nests the lines from ``start`` on one level deeper."""
+        self.lines[start:] = ["    " + line for line in self.lines[start:]]
+
+    # -- variables: a leaf's locals, else the memory of the space ---------------
+
+    def ref(self, name: str, dev: bool, write: bool = False) -> str:
+        """Code of the variable, to read or to store to. The first access
+        to an unfilled local is a read of the memory, whose miss raises the
+        device's error; a local, once filled, stays filled, and the lines
+        run in the order they were emitted, so no later access checks."""
+        if name not in self.locals:
+            return f"{'D' if dev else 'H'}[{name!r}]"
+        if name not in self.filled:
+            self.filled.add(name)
+            if not write:
+                self.line(f"if _v_{name} is P: D[{name!r}]")
+        return f"_v_{name}"
+
+    def read(self, name: str, dev: bool) -> str:
+        """A name that holds the variable's value, read now."""
+        code = self.ref(name, dev)
+        return code if name in self.locals else self.temp(code)
+
+    def store(self, name: str, dev: bool):
+        """A leaf's exit: a scalar's local goes back to memory (an array's
+        is the list memory holds), then the name is marked."""
+        if self.machine.sizes[name] is None:
+            self.line(f"{'D' if dev else 'H'}[{name!r}] = _v_{name}")
+        self.mark(name, dev)
+
     # -- statements ------------------------------------------------------------
 
     def stmt(self, stmt, dev: bool):
@@ -407,23 +454,25 @@ class _Nest:
 
     def mark(self, name: str, dev: bool):
         """The machine's mark, behind a membership test: cheaper than the
-        call it usually spares."""
+        call it usually spares. A leaf marks its names once, on exit."""
+        if self.locals:
+            return
         if dev:
             self.line(f"if {name!r} not in F: F.add({name!r})")
         else:
             self.line(f"if {name!r} in F: F.discard({name!r})")
 
     def assign(self, stmt: Assign, dev: bool):
-        memory, name = "D" if dev else "H", stmt.name
-        value = self.expr(stmt.value, dev)
+        name, value = stmt.name, self.expr(stmt.value, dev)
         if stmt.index is None:
-            self.line(f"{memory}[{name!r}] = {value}")
+            self.line(f"{self.ref(name, dev, write=True)} = {value}")
         else:
             idx = self.index(stmt, dev)
-            if dev:  # the device holds an array from its first write on
-                self.line(f"if {name!r} not in D: D[{name!r}] = [P] * "
-                          f"{self.machine.sizes[name]}")
-            self.line(f"{memory}[{name!r}][{idx}] = {value}")
+            if dev and name not in self.filled:  # the device holds it from its first write on
+                missing = (f"_v_{name} is P: _v_{name} =" if name in self.locals
+                           else f"{name!r} not in D:")
+                self.line(f"if {missing} D[{name!r}] = [P] * {self.machine.sizes[name]}")
+            self.line(f"{self.ref(name, dev, write=True)}[{idx}] = {value}")
         self.mark(name, dev)
 
     def hooks(self, loop: ForLoop, position: str):
@@ -433,24 +482,48 @@ class _Nest:
             self.line(f"{self.bind(run)}()")
 
     def loop(self, loop: ForLoop, dev: bool) -> str:
-        """Emits the loop and its hooks as a function; returns its name."""
+        """Emits the loop and its hooks as a function; returns its name. A
+        leaf, a loop with no loop in its body, loads every name it accesses
+        into a local after its "before" hooks. On exit, before its "after"
+        hooks, it stores its scalars back and marks its names: the index,
+        which the init wrote, always; those the body or the step write only
+        if an iteration ran. After an error it stores and marks nothing."""
         outer = self.lines, self.params
         self.lines, self.params = [], list(self.base)
         dev = dev or loop.node_id in self.machine.roots
-        memory = "D" if dev else "H"
+        leaf = not loops_in(loop.body)
         self.hooks(loop, "before")
-        self.line(f"{memory}[{loop.var!r}] = {self.expr(loop.init, dev)}")
+        if leaf:
+            reads, assigned, control = accesses(loop)
+            names = sorted(reads | assigned | control)
+            for name in names:  # a device local is P while its name is missing
+                self.line(f"_v_{name} = " + (f"D.get({name!r}, P)" if dev else f"H[{name!r}]"))
+            self.line("_n = 0")  # the tick of the last iteration
+            self.locals, self.filled = set(names), set() if dev else set(names)
+        init = self.expr(loop.init, dev)
+        self.line(f"{self.ref(loop.var, dev, write=True)} = {init}")
         self.mark(loop.var, dev)
         self.line("while True:")
         self.checked, start = {}, len(self.lines)
-        test = self.temp(f"{memory}[{loop.cond_var!r}]")  # read before the bound
+        test = self.read(loop.cond_var, dev)  # read before the bound
         self.line(f"if not {test} {loop.op} {self.expr(loop.bound, dev)}: break")
         message = _cap_message(loop, self.machine.iteration_cap)
-        self.line(f"if tick() > {self.machine.iteration_cap}: raise E({message!r})")
+        tick = "(_n := tick())" if leaf else "tick()"
+        self.line(f"if {tick} > {self.machine.iteration_cap}: raise E({message!r})")
         self.stmt(loop.body, dev)
-        self.line(f"{memory}[{loop.step_var!r}] += {float(loop.step)!r}")
+        self.line(f"{self.ref(loop.step_var, dev)} += {float(loop.step)!r}")
         self.mark(loop.step_var, dev)
-        self.lines[start:] = ["    " + line for line in self.lines[start:]]  # the while's body
+        self.indent(start)  # the while's body
+        if leaf:
+            self.locals, self.filled = set(), set()
+            self.store(loop.var, dev)
+            written = sorted((assigned | {loop.step_var}) - {loop.var})
+            if written:
+                self.line("if _n:")  # an iteration ran
+                start = len(self.lines)
+                for name in written:
+                    self.store(name, dev)
+                self.indent(start)
         self.hooks(loop, "after")
         params = ", ".join(f"{name}={name}" for name in self.params)
         name = f"nest{len(self.defs) or ''}"
@@ -472,7 +545,7 @@ class _Nest:
 
     def element(self, node: Index, dev: bool) -> str:
         idx = self.index(node, dev)  # bounds before presence
-        value = self.temp(f"{'D' if dev else 'H'}[{node.name!r}][{idx}]")
+        value = self.temp(f"{self.ref(node.name, dev)}[{idx}]")
         if dev or node.name in self.machine.written:  # may hold untransferred cells
             self.line(f"if {value} is P: "
                       f"raise TE({_poison_message(node.name, dev)!r}.format({idx}))")
@@ -483,7 +556,7 @@ class _Nest:
             value = expr.value  # never negative: the grammar has no unary minus
             return repr(value) if math.isfinite(value) else self.bind(value)
         if isinstance(expr, Var):
-            return self.temp(f"{'D' if dev else 'H'}[{expr.name!r}]")
+            return self.read(expr.name, dev)
         if isinstance(expr, Index):
             return self.element(expr, dev)
         if isinstance(expr, BinOp):

@@ -2,6 +2,7 @@
 determinism, and the iteration cap, each in both tiers: closures, and
 every loop with a static iteration count run as generated source."""
 
+import itertools
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from offload_planner.minic import EvalError, extract_loops, interpret, parse_pro
 from offload_planner.minic import interp
 from offload_planner.minic.interp import HOT_ITERATIONS, ITERATION_CAP
 from offload_planner.minic.parser import STMT_DEPTH
+from offload_planner.offload import OffloadPattern, plan_transfers, simulate_with_plan
 
 from conftest import corpus_programs, hot_iterations, in_both_tiers
 
@@ -41,11 +43,16 @@ def test_out_of_bounds_index():
         run("float a[2]; int i; i = 0 - 1; a[i] = 1.0;")
 
 
-def test_iteration_cap():
+@pytest.mark.parametrize("src, cap, where", [
     # index forced back each pass: never terminates without the cap
-    src = "int i; int s; for(i=0;i<4;i++){ i = 0 - 1; s = s + 1; }"
-    with pytest.raises(EvalError, match="iteration cap"):
-        run(src, iteration_cap=1000)
+    ("int i; int s; for(i=0;i<4;i++){ i = 0 - 1; s = s + 1; }", 1000, "1:15"),
+    # the outer loop's 3 iterations and the inner leaf's 12 share one count,
+    # so the leaf's last iteration is the 15th
+    ("int i; int j; int s; for(j=0;j<3;j++){ for(i=0;i<4;i++){ s = s + 1; } }", 14, "1:40"),
+], ids=["runaway", "shared-count"])
+def test_iteration_cap(src, cap, where):
+    with pytest.raises(EvalError, match=f"^{where}: iteration cap \\({cap}\\) exceeded$"):
+        run(src, iteration_cap=cap)
 
 
 def test_non_static_loop_runs_as_written():
@@ -181,3 +188,31 @@ def test_an_emitter_bug_raises_its_syntax_error(monkeypatch):
     with hot_iterations(1), pytest.raises(SyntaxError) as info:
         interpret(ast, loops=extract_loops(ast))
     assert info.value.msg == "invalid syntax"
+
+
+def while_bodies(source: str) -> list:
+    """The lines of each ``while`` body in an emitted source."""
+    bodies, lines = [], source.splitlines()
+    for at, line in enumerate(lines):
+        if line.strip() == "while True:":
+            depth = len(line) - len(line.lstrip())
+            body = itertools.takewhile(
+                lambda inner: len(inner) - len(inner.lstrip()) > depth, lines[at + 1:])
+            bodies.append(list(body))
+    return bodies
+
+
+def test_a_leaf_while_body_marks_nothing_and_on_the_host_touches_no_memory(compiled):
+    # the host leaf reads and writes locals only; the device leaf's body may
+    # still read memory where a local is unfilled, but it marks nothing
+    src = "float a[8]; float s = 0; int i = 0; for (i = 0; i < 8; i++) { a[i] = i; s = s + a[i]; }"
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((1,))
+    with hot_iterations(1):
+        assert interpret(ast, loops=loops)["s"] == 28.0
+        plan = plan_transfers(ast, loops, pattern)
+        assert simulate_with_plan(ast, loops, pattern, plan).outputs["s"] == 28.0
+    (host,), (device,) = (while_bodies(source) for source in compiled)
+    assert not [line for line in host if "H[" in line or "F." in line]
+    assert not [line for line in device if "F." in line]

@@ -335,6 +335,10 @@ def reference_upward_exposed(region, loops):
     return reference_exposed([region], loops)
 
 
+def declaration_reads(decl):
+    return set() if decl.init is None else accesses(decl.init)[0]
+
+
 def reference_exposed(stmts, loops):
     """Variables the statements read before they write them, by one ordered
     walk; a nested loop of unknown trip count may run zero times, so its
@@ -355,6 +359,8 @@ def reference_exposed(stmts, loops):
             walk_stmt(stmt.body, body_written)
             if loops.by_id[stmt.node_id].trip_count is not None:
                 written |= body_written
+        elif isinstance(stmt, VarDecl):  # reads its initializer, assigns nothing
+            exposed.update(declaration_reads(stmt) - written)
         else:
             reads, assigned, _ = accesses(stmt)
             exposed.update(reads - written)
@@ -409,7 +415,8 @@ def reference_region_ops(ast, loops, chains, root, hoist):
             items = children(container)
             at = next(k for k, item in enumerate(items) if item is below)
             for item in items[at + 1:]:
-                later.update(*accesses(item))
+                later.update(*((declaration_reads(item),) if isinstance(item, VarDecl)
+                               else accesses(item)))
         below = container
 
     def anchor(var, reads_block):
@@ -464,6 +471,8 @@ REFERENCE_EDGE_CASES = {
     "zero-trip": "int n = 0; int m; float x; float y; int i = 0; int j = 0; m = 3; "
                  "for(i=0;i<4;i++){ for(j=0;j<n;j++){ x = 1.0; } y = x; "
                  "for(j=0;j<m;j++){ y = y + 1.0; } } y = x;",
+    # a declaration's initializer reads the region's array and index
+    "declaration": "int i; float a[4]; for(i=0;i<4;i++) a[i] = 1.0; float k = a[1] + i;",
 }
 
 
@@ -558,6 +567,8 @@ def test_values_a_region_may_leave_partly_unwritten_are_copied_in(src, bits):
     # the host's value goes in first
     ("int m; float s; int i = 0; int j = 0; int k = 0; m = 0; "
      "for (j = 0; j < m; j++) { for (i = 0; i < 4; i++) s = 1.0; } k = i;", (1,)),
+    # a declaration reads the index, and the array the region wrote part of
+    ("int i; float s; float a[4]; for(i=0;i<3;i++) a[i] = 1.0; float k = a[1] + i;", (1,)),
 ])
 def test_loop_indices_read_after_a_region_are_copied_out(src, bits):
     ast = parse_program(src)

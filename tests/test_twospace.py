@@ -277,8 +277,14 @@ def test_copyout_hoisted_past_a_loop_that_runs_zero_times():
     # the copyout makes x host-current; the later host write is newest
     ("float x = 1; int i = 0; for (i = 0; i < 4; i++) { x = x * 2.0; } x = x + 1.0;",
      {"x"}, False, {"x": 17.0, "i": 4.0}),
+    # with its copyout dropped, s stays device-fresh: a host leaf in the
+    # ineligible k loop runs zero times, so it writes, and marks, nothing
+    ("float s = 0; int n = 0; int i = 0; int j = 0; int k = 0; "
+     "for (i = 0; i < 4; i++) { s = s + i; } "
+     "for (k = 0; k < 1; k++) { read_input(k); for (j = 0; j < n; j++) { s = 1.0; } }",
+     {"s"}, True, {"s": 6.0, "n": 0.0, "i": 4.0, "j": 0.0, "k": 1.0}),
 ], ids=["unread-result-flushed", "host-write-after-region",
-        "host-write-after-copyout"])
+        "host-write-after-copyout", "zero-trip-host-leaf"])
 def test_teardown_flush_copies_out_exactly_the_device_fresh(src, copyouts, drop,
                                                             expected):
     ast = parse_program(src)
@@ -289,8 +295,51 @@ def test_teardown_flush_copies_out_exactly_the_device_fresh(src, copyouts, drop,
     if drop:
         plan = TransferPlan(tuple(op for op in plan.ops
                                   if op.direction != DEVICE_TO_HOST))
-    sim = simulate_with_plan(ast, loops, pattern, plan)
+    sim = in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
     assert sim.outputs == interpret(ast) == expected
+
+
+@pytest.mark.parametrize("var", ["x", "b"], ids=["scalar", "array"])
+def test_a_device_leaf_read_before_any_transfer_fails_alike_in_both_tiers(var):
+    from offload_planner.offload import TwoSpaceError
+
+    src = ("float x = 2.5; float b[4]; float s = 0; int i = 0; "
+           "for (i = 0; i < 4; i++) { s = s + b[i] * x; }")
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    pattern = OffloadPattern((1,))
+    plan = without_copyin(plan_transfers(ast, loops, pattern), var)
+    with pytest.raises(TwoSpaceError, match=f"^device read of '{var}' before any transfer$"):
+        in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
+
+
+@pytest.mark.parametrize("src", [
+    # the header writes i and k, the body j, which the test reads; the
+    # second entry runs zero times
+    "float s = 0; int i = 0; int j = 0; int k = 0; int m = 0; "
+    "for (m = 0; m < 2; m++) { for (i = 0; j < 4; k++) { j = j + 1; s = s + k; } }",
+    # the body moves the index the step then advances
+    "float a[8]; int i = 0; int j = 0; "
+    "for (j = 0; j < 2; j++) { for (i = 0; i < 8; i++) { a[i] = a[i] + 1.0; i = i + 2; } }",
+    # the body lowers the scalar the bound reads
+    "int n = 0; int i = 0; int j = 0; "
+    "for (j = 0; j < 2; j++) { n = 6; for (i = 0; i < n; i++) { n = n - 1; } }",
+    # offloaded, the outer loop, which keeps no locals, creates a on the
+    # device with its first write, since the region writes all of a and
+    # the leaf that would write it first runs zero times
+    "float a[4]; int n = 0; int i = 0; int j = 0; "
+    "for (j = 0; j < 4; j++) { for (i = 0; i < n; i++) { a[i] = 1.0; } a[j] = j; }",
+], ids=["non-canonical", "own-index", "bound-scalar", "outer-writes-array"])
+def test_leaves_in_a_nest_run_alike_in_both_tiers(src):
+    # each inner loop is a leaf of the outer one's nest, on the host or,
+    # with the outer loop offloaded, on the device
+    ast = parse_program(src)
+    loops = extract_loops(ast)
+    baseline = in_both_tiers(lambda: interpret(ast, loops=loops))
+    for pattern in valid_patterns(loops):
+        plan = plan_transfers(ast, loops, pattern)
+        sim = in_both_tiers(lambda: simulate_with_plan(ast, loops, pattern, plan))
+        assert sim.outputs == baseline, pattern.as_string()
 
 
 def test_generated_programs_two_space_equals_interpretation(nests):
